@@ -154,7 +154,10 @@ type t = {
      fast-delivered message could drop out of the stage-change cut. *)
   stage_history : (int * int, msg) Hashtbl.t;
   delivered : Delivered.t;
-  ack_counts : ((int * int) * int, (int, unit) Hashtbl.t) Hashtbl.t;
+  ack_counts : (int, (int * int, (int, unit) Hashtbl.t) Hashtbl.t) Hashtbl.t;
+  (* stage -> message id -> members that acked it in that stage.  A tally
+     goes when its message is delivered, a stage's tallies when the stage
+     ends, so the table holds only messages still collecting acks. *)
   (* stage -> sender -> (acked, pending) *)
   states : (int, (int, msg list * msg list) Hashtbl.t) Hashtbl.t;
   cut_proposed : (int, unit) Hashtbl.t;
@@ -230,6 +233,9 @@ let deliver t m =
   let id = msg_id m in
   if Delivered.add t.delivered id then begin
     Hashtbl.remove t.pending id;
+    (match Hashtbl.find_opt t.ack_counts t.stage with
+    | Some tallies -> Hashtbl.remove tallies id
+    | None -> ());
     (* The examine scan still sees stage-history entries (the ack rule keeps
        them until the stage ends), so the index only forgets ids that left
        both tables. *)
@@ -274,12 +280,27 @@ let state_table t stage =
       tbl
 
 let ack_set t id stage =
-  match Hashtbl.find_opt t.ack_counts (id, stage) with
+  let tallies =
+    match Hashtbl.find_opt t.ack_counts stage with
+    | Some tallies -> tallies
+    | None ->
+        let tallies = Hashtbl.create 64 in
+        Hashtbl.replace t.ack_counts stage tallies;
+        tallies
+  in
+  match Hashtbl.find_opt tallies id with
   | Some s -> s
   | None ->
       let s = Hashtbl.create 8 in
-      Hashtbl.replace t.ack_counts (id, stage) s;
+      Hashtbl.replace tallies id s;
       s
+
+(* An ack only counts towards a fast delivery in its own stage, while the
+   message is undelivered: acks for delivered messages and ended stages
+   are ignored rather than tallied forever. *)
+let record_ack t ~src id stage =
+  if stage >= t.stage && not (Delivered.mem t.delivered id) then
+    Hashtbl.replace (ack_set t id stage) src ()
 
 (* Freeze the fast path and publish our stage state.  Every process freezes
    on detecting a conflict locally or on hearing any other process's state
@@ -470,6 +491,9 @@ let apply_cut t ~stage ~first ~rest =
     (* New stage: stale acks and states are dropped; survivors of [pending]
        (messages that arrived during the change) are re-examined. *)
     Hashtbl.remove t.states stage;
+    Sorted.iter ~cmp:Int.compare
+      (fun s _ -> if s <= stage then Hashtbl.remove t.ack_counts s)
+      t.ack_counts;
     Hashtbl.reset t.stage_history;
     (* The index mirrors pending U stage_history; with the history gone it
        is rebuilt from the pending survivors. *)
@@ -591,12 +615,12 @@ let create proc ~rc ~rb ~ab ~conflict ?(ack_mode = Two_thirds)
   Rc.on_deliver rc (fun ~src payload ->
       match payload with
       | Gb_ack { id; stage } ->
-          Hashtbl.replace (ack_set t id stage) src ();
+          record_ack t ~src id stage;
           if stage = t.stage then try_fast_deliver t id
       | Gb_acks l ->
           List.iter
             (fun (id, stage) ->
-              Hashtbl.replace (ack_set t id stage) src ();
+              record_ack t ~src id stage;
               if stage = t.stage then try_fast_deliver t id)
             l
       | Gb_state { stage; acked; pending } ->
@@ -654,6 +678,11 @@ let members t = t.member_list
 let delivered_count t = t.n_delivered
 let fast_delivered_count t = t.n_fast
 let stage t = t.stage
+
+let ack_tallies t =
+  Sorted.fold ~cmp:Int.compare
+    (fun _ tallies n -> n + Hashtbl.length tallies)
+    t.ack_counts 0
 
 let delivered_ids t = Delivered.ids t.delivered
 

@@ -131,6 +131,11 @@ val stage : t -> int
 (** Current stage number = number of stage changes applied locally; each
     stage change is exactly one message through atomic broadcast. *)
 
+val ack_tallies : t -> int
+(** Fast-path acknowledgement tallies held: one per message and stage still
+    collecting acks.  Bounded by the messages in flight, not by how many
+    were ever delivered. *)
+
 val delivered_ids : t -> (int * int) list
 
 val bootstrap : t -> stage:int -> delivered:(int * int) list -> unit

@@ -216,6 +216,7 @@ let registrars =
     ("Gc_runtime_unix.Evloop.set_read", Loop);
     ("Gc_runtime_unix.Evloop.set_write", Loop);
     ("Gc_runtime_unix.Evloop.schedule", Loop);
+    ("Gc_runtime_unix.Evloop.defer", Loop);
     ("Gc_runtime_unix.Fconn.listen", Loop);
     ("Gc_runtime_unix.Fconn.attach", Handler);
     ("Gc_kernel.Process.on_receive", Handler);
@@ -361,7 +362,7 @@ let metrics =
     g "evloop.open_fds";
     (* wire transport (framing + TCP backend + simulated net) *)
     c "net.frames_in"; c "net.frames_out"; c "net.bytes_in";
-    c "net.bytes_out"; c "net.frame_reject"; c "net.reconnects";
+    c "net.bytes_out"; c "net.writes"; c "net.frame_reject"; c "net.reconnects";
     c "net.tx_drop"; c "net.dropped_gone"; c "net.dropped_policy";
     c "net.duplicated";
     (* durable delivery log (Storage seam + file backend) *)

@@ -11,18 +11,28 @@ let error_to_string = function
 
 let default_limit = 1 lsl 20
 
-let encode ?(limit = default_limit) p =
-  match Payload.encode p with
+let encode_body ?(limit = default_limit) w p =
+  Buffer.clear w;
+  match Payload.encode_into w p with
   | Error e -> Error (Codec e)
-  | Ok body ->
-      let n = String.length body in
-      if n > limit then Error (Oversized { len = n; limit })
-      else begin
-        let b = Bytes.create (4 + n) in
-        Bytes.set_int32_be b 0 (Int32.of_int n);
-        Bytes.blit_string body 0 b 4 n;
-        Ok (Bytes.unsafe_to_string b)
-      end
+  | Ok () ->
+      let n = Buffer.length w in
+      if n > limit then Error (Oversized { len = n; limit }) else Ok (4 + n)
+
+(* The frame format, in one place: 4-byte big-endian body length, body. *)
+let blit body dst off =
+  let n = Buffer.length body in
+  Bytes.set_int32_be dst off (Int32.of_int n);
+  Buffer.blit body 0 dst (off + 4) n
+
+let encode ?limit p =
+  let w = Buffer.create 128 in
+  match encode_body ?limit w p with
+  | Error e -> Error e
+  | Ok len ->
+      let b = Bytes.create len in
+      blit w b 0;
+      Ok (Bytes.unsafe_to_string b)
 
 module Decoder = struct
   type t = {
@@ -98,9 +108,11 @@ module Decoder = struct
       end
       else if buffered t < 4 + len then `Await
       else begin
-        let body = Bytes.sub_string t.buf (t.pos + 4) len in
-        t.pos <- t.pos + 4 + len;
-        match Payload.decode body with
+        let pos = t.pos + 4 in
+        t.pos <- pos + len;
+        (* In place: the reader is bounded to this frame's body, and every
+           field it returns is a fresh copy, so the alias never escapes. *)
+        match Payload.decode ~pos ~len (Bytes.unsafe_to_string t.buf) with
         | Ok p -> `Payload p
         | Error e ->
             reject t;

@@ -20,6 +20,16 @@ val error_to_string : error -> string
 val default_limit : int
 (** Default maximum body length (1 MiB). *)
 
+val encode_body : ?limit:int -> Wire.writer -> Payload.t -> (int, error) result
+(** Clear the writer and encode one payload's frame body into it.  Returns
+    the length of the whole frame (prefix + body) that {!blit} will write;
+    bodies over [limit] (default {!default_limit}) are [Oversized]. *)
+
+val blit : Wire.writer -> bytes -> int -> unit
+(** [blit body dst off] writes the frame for the body held in the writer
+    (as left by {!encode_body}) into [dst] at [off]: the length prefix,
+    then the body.  [dst] must have room for the frame length. *)
+
 val encode : ?limit:int -> Payload.t -> (string, error) result
 (** Complete frame bytes (prefix + body) for one payload. *)
 

@@ -59,14 +59,22 @@ let register_codec ~tag ~encode ~decode =
   encoders := (tag, encode encode_value) :: !encoders;
   Hashtbl.replace decoders tag (fun r -> decode decode_value r)
 
+let encode_into w p =
+  let mark = Buffer.length w in
+  match encode_value w p with
+  | () -> Ok ()
+  | exception Codec_reject e ->
+      Buffer.truncate w mark;
+      Error e
+
 let encode p =
   let w = Buffer.create 128 in
-  match encode_value w p with
-  | () -> Ok (Buffer.contents w)
-  | exception Codec_reject e -> Error e
+  match encode_into w p with
+  | Ok () -> Ok (Buffer.contents w)
+  | Error e -> Error e
 
-let decode s =
-  let r = Wire.reader s in
+let decode ?pos ?len s =
+  let r = Wire.reader ?pos ?len s in
   match decode_value r with
   | v ->
       let left = Wire.remaining r in

@@ -49,13 +49,20 @@ val register_codec :
 val malformed : string -> 'a
 (** For decoders: reject the input with a {!Malformed} error. *)
 
-val encode : t -> (string, codec_error) result
-(** Self-describing binary encoding (tag + body), usable as a {!Frame}
-    body.  Total: never raises. *)
+val encode_into : Wire.writer -> t -> (unit, codec_error) result
+(** Append the self-describing binary encoding (tag + body) to the writer.
+    On error the writer is rolled back to its length before the call.
+    Total: never raises. *)
 
-val decode : string -> (t, codec_error) result
-(** Inverse of {!encode}; rejects truncated input, trailing bytes, unknown
-    tags and malformed bodies with a typed error instead of raising. *)
+val encode : t -> (string, codec_error) result
+(** {!encode_into} a fresh buffer: the encoding as a string, usable as a
+    {!Frame} body. *)
+
+val decode : ?pos:int -> ?len:int -> string -> (t, codec_error) result
+(** Inverse of {!encode} over a slice of the string (default: all of it);
+    nothing outside the slice is read.  Rejects truncated input, trailing
+    bytes within the slice, unknown tags and malformed bodies with a typed
+    error instead of raising. *)
 
 val encodable : t -> bool
 (** Whether some registered codec claims the value. *)

@@ -49,7 +49,9 @@ let counter_ref t name =
       Hashtbl.add t.entries name (Counter r);
       r
 
-let incr ?(by = 1) t name = counter_ref t name := !(counter_ref t name) + by
+let incr ?(by = 1) t name =
+  let r = counter_ref t name in
+  r := !r + by
 
 let gauge_ref t name =
   match Hashtbl.find_opt t.entries name with

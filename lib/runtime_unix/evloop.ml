@@ -17,6 +17,7 @@ type t = {
   timers : timer_cell Heap.t;
   mutable timer_seq : int;
   watchers : (Unix.file_descr, watcher) Hashtbl.t;
+  deferred : (unit -> unit) Queue.t; (* run before the loop next blocks *)
   mutable running : bool;
   metrics : Gc_obs.Metrics.t option;
 }
@@ -48,6 +49,7 @@ let create ?metrics () =
         ();
     timer_seq = 0;
     watchers = Hashtbl.create 32;
+    deferred = Queue.create ();
     running = false;
     metrics;
   }
@@ -66,6 +68,15 @@ let schedule t ~delay f =
   t.timer_seq <- t.timer_seq + 1;
   Heap.push t.timers cell;
   { Gc_kernel.Runtime.cancel = (fun () -> cell.cancelled <- true) }
+
+let defer t f = Queue.push f t.deferred
+
+(* Deferred work may defer more (a flush that fails closes a connection,
+   whose [on_close] may send elsewhere): drain until the queue is empty. *)
+let run_deferred t =
+  while not (Queue.is_empty t.deferred) do
+    (Queue.pop t.deferred) ()
+  done
 
 let watcher t fd =
   match Hashtbl.find_opt t.watchers fd with
@@ -133,9 +144,11 @@ let next_deadline t =
 
 let run_once t ~max_wait =
   let t0 = now t in
+  run_deferred t;
+  let t_poll = now t in
   let wait =
     match next_deadline t with
-    | Some d -> Float.min max_wait (Float.max 0.0 (d -. t0))
+    | Some d -> Float.min max_wait (Float.max 0.0 (d -. t_poll))
     | None -> max_wait
   in
   (* Sorted, so [select]'s ready lists — and therefore callback dispatch —
@@ -189,8 +202,10 @@ let run_once t ~max_wait =
   | Some m ->
       let t_done = now t in
       Gc_obs.Metrics.incr m "evloop.ticks";
-      Gc_obs.Metrics.observe m "evloop.select_wait_ms" (t_woke -. t0);
-      Gc_obs.Metrics.observe m "evloop.callback_ms" (t_done -. t_woke);
+      Gc_obs.Metrics.observe m "evloop.select_wait_ms" (t_woke -. t_poll);
+      (* deferred work is callback work too, just run before the poll *)
+      Gc_obs.Metrics.observe m "evloop.callback_ms"
+        (t_done -. t_woke +. (t_poll -. t0));
       Gc_obs.Metrics.observe m "evloop.tick_ms" (t_done -. t0);
       Gc_obs.Metrics.set_gauge m "evloop.open_fds"
         (float_of_int (Hashtbl.length t.watchers))

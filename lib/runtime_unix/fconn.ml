@@ -14,8 +14,12 @@ type t = {
   sock : Unix.file_descr;
   metrics : Gc_obs.Metrics.t option;
   decoder : Frame.Decoder.t;
-  out : Buffer.t;
-  mutable out_pos : int; (* flushed prefix of [out] *)
+  body : Buffer.t; (* reused: each sent payload is encoded here once *)
+  mutable out : Bytes.t; (* frames not yet written: [out_pos, out_len) *)
+  mutable out_pos : int;
+  mutable out_len : int;
+  mutable dirty : bool; (* a flush is deferred on the loop *)
+  mutable write_armed : bool; (* a flush waits for writability *)
   mutable connecting : bool;
   mutable is_closed : bool;
   mutable bytes_in : int;
@@ -43,68 +47,127 @@ let count t name by =
   | Some m -> Gc_obs.Metrics.incr ~by m name
   | None -> ()
 
+let pending_out t = t.out_len - t.out_pos
+
+(* Write pending bytes until they are drained or the socket pushes back;
+   one [net.writes] per write(2) that moved bytes. *)
+let rec write_out t =
+  let n = pending_out t in
+  if n = 0 then begin
+    t.out_pos <- 0;
+    t.out_len <- 0;
+    `Drained
+  end
+  else
+    match Unix.single_write t.sock t.out t.out_pos n with
+    | written ->
+        t.out_pos <- t.out_pos + written;
+        t.bytes_out <- t.bytes_out + written;
+        count t "net.bytes_out" written;
+        count t "net.writes" 1;
+        write_out t
+    | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN), _, _) ->
+        `Blocked
+    | exception Unix.Unix_error (Unix.EINTR, _, _) ->
+        (* A signal interrupting the write is not a dead peer: the bytes
+           are still queued, try again. *)
+        write_out t
+    | exception Unix.Unix_error _ -> `Failed
+
 (* Teardown happens exactly once, no matter which path finds the peer gone
    first (EOF on read, EPIPE/ECONNRESET mid-flush, an explicit close): the
    [is_closed] latch flips before anything else runs, the watcher — read
    AND write callback — is dropped before the descriptor is closed (so a
    reused fd number can never inherit a stale callback), and the out
    buffer is released here rather than waiting for the GC to collect the
-   connection (it caps at [out_cap] — 256 KiB of dead bytes otherwise). *)
+   connection (it caps at [out_cap] — 256 KiB of dead bytes otherwise).
+   Frames still queued go out first, as far as the socket accepts them
+   without blocking, so a send followed by a close still delivers. *)
 let close t =
   if not t.is_closed then begin
+    if not t.connecting then ignore (write_out t);
     t.is_closed <- true;
     Evloop.forget t.loop t.sock;
-    Buffer.clear t.out;
+    t.out <- Bytes.empty;
     t.out_pos <- 0;
+    t.out_len <- 0;
     (try Unix.close t.sock with Unix.Unix_error _ -> ());
     t.on_close t
   end
 
-let pending_out t = Buffer.length t.out - t.out_pos
-
 let rec flush t =
-  if (not t.is_closed) && not t.connecting then begin
-    let n = pending_out t in
-    if n = 0 then begin
-      (* Drained: compact and stop watching for writability. *)
-      Buffer.clear t.out;
-      t.out_pos <- 0;
-      Evloop.set_write t.loop t.sock None
-    end
-    else begin
-      let chunk = Bytes.unsafe_of_string (Buffer.contents t.out) in
-      match Unix.write t.sock chunk t.out_pos n with
-      | written ->
-          t.out_pos <- t.out_pos + written;
-          t.bytes_out <- t.bytes_out + written;
-          count t "net.bytes_out" written;
-          if written = n then flush t
-          else Evloop.set_write t.loop t.sock (Some (fun () -> flush t))
-      | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN), _, _) ->
+  if (not t.is_closed) && not t.connecting then
+    match write_out t with
+    | `Drained ->
+        if t.write_armed then begin
+          t.write_armed <- false;
+          Evloop.set_write t.loop t.sock None
+        end
+    | `Blocked ->
+        if not t.write_armed then begin
+          t.write_armed <- true;
           Evloop.set_write t.loop t.sock (Some (fun () -> flush t))
-      | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-          (* A signal interrupting the write is not a dead peer: the bytes
-             are still queued, try again. *)
-          flush t
-      | exception Unix.Unix_error _ ->
-          (* EPIPE / ECONNRESET / anything fatal mid-flush: full teardown.
-             [close] drops the write callback with the watcher, so the
-             half-flushed buffer can never be retried against a closed
-             (or recycled) descriptor. *)
-          close t
+        end
+    | `Failed ->
+        (* EPIPE / ECONNRESET / anything fatal mid-flush: full teardown.
+           [close] drops the write callback with the watcher, so the
+           half-flushed buffer can never be retried against a closed
+           (or recycled) descriptor. *)
+        close t
+
+(* Coalescing: a turn's sends only append; the connection asks the loop
+   once to flush before it next blocks.  While a write callback is armed
+   or the connect is in progress, that callback flushes instead. *)
+let schedule_flush t =
+  if not (t.dirty || t.write_armed || t.connecting) then begin
+    t.dirty <- true;
+    Evloop.defer t.loop (fun () ->
+        t.dirty <- false;
+        flush t)
+  end
+
+(* Room for [len] more bytes at [out_len]: slide the pending bytes to the
+   front, then grow by doubling if that is not enough. *)
+let reserve t len =
+  let pending = pending_out t in
+  if t.out_len + len > Bytes.length t.out then begin
+    if t.out_pos > 0 then begin
+      Bytes.blit t.out t.out_pos t.out 0 pending;
+      t.out_pos <- 0;
+      t.out_len <- pending
+    end;
+    if pending + len > Bytes.length t.out then begin
+      let cap = ref (max 4096 (Bytes.length t.out)) in
+      while pending + len > !cap do
+        cap := !cap * 2
+      done;
+      let bigger = Bytes.create !cap in
+      Bytes.blit t.out 0 bigger 0 pending;
+      t.out <- bigger
     end
   end
 
+(* Unencodable, oversized and backlogged frames are dropped — datagram
+   semantics, the reliable channel above retransmits — and counted. *)
 let send t payload =
   if not t.is_closed then
-    match Frame.encode payload with
-    | Error _ -> () (* unencodable: dropped, datagram semantics *)
-    | Ok frame ->
-        if pending_out t + String.length frame <= out_cap then begin
-          Buffer.add_string t.out frame;
+    match Frame.encode_body t.body payload with
+    | Error _ -> count t "net.tx_drop" 1
+    | Ok len ->
+        (* Past the cap, flush now: the frame is dropped only if it still
+           does not fit, exactly as when every send wrote through. *)
+        if pending_out t + len > out_cap then flush t;
+        if t.is_closed || pending_out t + len > out_cap then
+          count t "net.tx_drop" 1
+        else begin
+          reserve t len;
+          Frame.blit t.body t.out t.out_len;
+          (* keep the encode scratch small once a rare large frame is out *)
+          if len > 65_536 then Buffer.reset t.body;
+          t.out_len <- t.out_len + len;
           t.frames_out <- t.frames_out + 1;
           count t "net.frames_out" 1;
-          if not t.connecting then flush t
+          schedule_flush t
         end
 
 let rec drain_frames t =
@@ -156,8 +219,12 @@ let attach ~loop ?metrics ?frame_limit ?(connecting = false) sock ~on_payload
       sock;
       metrics;
       decoder = Frame.Decoder.create ?limit:frame_limit ?metrics ();
-      out = Buffer.create 4096;
+      body = Buffer.create 256;
+      out = Bytes.create 4096;
       out_pos = 0;
+      out_len = 0;
+      dirty = false;
+      write_armed = false;
       connecting;
       is_closed = false;
       bytes_in = 0;

@@ -3,10 +3,16 @@
 
     Used for both halves of the real runtime: the peer mesh between
     [gcs_server] daemons and the client connections a server accepts.
-    Reads are decoded incrementally; writes are buffered and flushed on
-    writability.  Rejected frames are counted ([net.frame_reject]) and
-    skipped; a framing-level corruption or peer hangup closes the
-    connection and fires [on_close] exactly once. *)
+    Reads are decoded incrementally, each frame body in place.  Writes
+    are coalesced: {!send} encodes the payload once and appends the frame
+    to the connection's output buffer, and the connection flushes that
+    buffer with one [write(2)] per {!Evloop} turn, from work it
+    {!Evloop.defer}s — so a turn's frames leave together before the loop
+    next blocks, and a send made outside the loop goes out at the start of
+    the next {!Evloop.run_once}.  Whatever the socket does not accept
+    waits for writability.  Rejected frames are counted
+    ([net.frame_reject]) and skipped; a framing-level corruption or peer
+    hangup closes the connection and fires [on_close] exactly once. *)
 
 type t
 
@@ -24,12 +30,17 @@ val attach :
     reports writable and [SO_ERROR] is clean. *)
 
 val send : t -> Gc_net.Payload.t -> unit
-(** Frame and enqueue one payload.  Unencodable payloads and writes past
-    the buffer cap (256 KiB) are dropped — datagram semantics; the
-    reliable-channel layer above retransmits. *)
+(** Frame and enqueue one payload; it is written before the loop next
+    blocks.  A frame that would take the unwritten output past the
+    256 KiB cap triggers an immediate flush first, and is dropped only if
+    it still does not fit.  Such frames and unencodable or oversized
+    payloads are dropped — datagram semantics; the reliable-channel layer
+    above retransmits — and counted as [net.tx_drop]. *)
 
 val close : t -> unit
-(** Idempotent; fires [on_close]. *)
+(** Idempotent; fires [on_close].  Queued frames are written first, as far
+    as the socket accepts them without blocking, so a send followed by a
+    close still delivers. *)
 
 val closed : t -> bool
 
@@ -47,7 +58,8 @@ val stats : t -> stats
     the server's [Stats] endpoint reports.  When [attach] was given
     [?metrics], the same quantities also accumulate into the shared
     registry as [net.bytes_in]/[net.bytes_out]/[net.frames_in]/
-    [net.frames_out]. *)
+    [net.frames_out], alongside [net.writes] ([write(2)] calls that moved
+    bytes) and [net.tx_drop]. *)
 
 val listen :
   loop:Evloop.t ->

@@ -96,6 +96,115 @@ let test_peer_death_between_partial_writes () =
   Fconn.close conn;
   Alcotest.(check int) "close is idempotent" 1 !closes
 
+(* ---------- coalesced writes ---------- *)
+
+module Frame = Gc_net.Frame
+module Metrics = Gc_obs.Metrics
+
+(* A connection on one end of a socketpair, with its own registry; the
+   other end is read raw and decoded here. *)
+let with_pair f =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let loop = Evloop.create () in
+  let m = Metrics.create () in
+  let conn =
+    Fconn.attach ~loop ~metrics:m a ~on_payload:(fun _ _ -> ()) ~on_close:ignore
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Fconn.close conn;
+      try Unix.close b with Unix.Unix_error _ -> ())
+    (fun () -> f loop m conn b)
+
+(* Everything the peer can read right now, decoded. *)
+let peer_frames b =
+  Unix.set_nonblock b;
+  let d = Frame.Decoder.create () in
+  let buf = Bytes.create 65_536 in
+  let rec read () =
+    match Unix.read b buf 0 (Bytes.length buf) with
+    | 0 -> ()
+    | n ->
+        Frame.Decoder.feed d buf ~off:0 ~len:n;
+        read ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  in
+  read ();
+  let rec frames acc =
+    match Frame.Decoder.next d with
+    | `Payload p -> frames (p :: acc)
+    | `Await -> List.rev acc
+    | `Corrupt e -> Alcotest.failf "peer decode: %s" (Frame.error_to_string e)
+  in
+  frames []
+
+let rids frames =
+  List.map
+    (function
+      | Proto.Cl_put { rid; _ } -> rid
+      | p -> Alcotest.failf "unexpected %s" (Gc_net.Payload.to_string p))
+    frames
+
+let put rid = Proto.Cl_put { rid; key = "k"; value = "v" }
+
+let test_one_write_per_turn () =
+  with_pair (fun loop m conn b ->
+      ignore
+        (Evloop.schedule loop ~delay:0.0 (fun () ->
+             for rid = 1 to 100 do
+               Fconn.send conn (put rid)
+             done));
+      (* the timer's turn, then the next one, which flushes before it polls *)
+      Evloop.run_once loop ~max_wait:0.0;
+      Evloop.run_once loop ~max_wait:0.0;
+      Alcotest.(check int) "one write for the turn" 1 (Metrics.counter m "net.writes");
+      Alcotest.(check (list int)) "all 100 frames, in order"
+        (List.init 100 (fun i -> i + 1))
+        (rids (peer_frames b)))
+
+let test_send_outside_loop () =
+  with_pair (fun loop m conn b ->
+      Fconn.send conn (put 7);
+      Alcotest.(check int) "nothing written yet" 0 (Metrics.counter m "net.writes");
+      Evloop.run_once loop ~max_wait:0.0;
+      Alcotest.(check (list int)) "readable after one zero-wait turn" [ 7 ]
+        (rids (peer_frames b)))
+
+let test_send_then_close () =
+  with_pair (fun _loop _m conn b ->
+      Fconn.send conn (put 1);
+      Fconn.send conn (put 2);
+      Fconn.close conn;
+      Alcotest.(check (list int)) "close delivers what was queued" [ 1; 2 ]
+        (rids (peer_frames b)))
+
+(* A peer that never reads: frames queue up to the 256 KiB cap, and only
+   then are sends dropped, each one counted. *)
+let test_backlog_drop_counted () =
+  with_pair (fun loop m conn _b ->
+      let value = String.make 8192 'x' in
+      let frame_len =
+        match Frame.encode (Proto.Cl_put { rid = 0; key = "k"; value }) with
+        | Ok f -> String.length f
+        | Error e -> Alcotest.failf "encode: %s" (Frame.error_to_string e)
+      in
+      let first_drop = ref None in
+      for rid = 1 to 200 do
+        Fconn.send conn (Proto.Cl_put { rid; key = "k"; value });
+        if !first_drop = None && Metrics.counter m "net.tx_drop" > 0 then
+          first_drop := Some rid;
+        if rid mod 10 = 0 then Evloop.run_once loop ~max_wait:0.0
+      done;
+      match !first_drop with
+      | None -> Alcotest.fail "a backlogged peer must cost drops"
+      | Some rid ->
+          Alcotest.(check bool) "no drop before the cap" true
+            ((rid - 1) * frame_len >= 256 * 1024);
+          Alcotest.(check int) "every dropped frame counted"
+            (200 - (Fconn.stats conn).Fconn.frames_out)
+            (Metrics.counter m "net.tx_drop");
+          Alcotest.(check bool) "still open" false (Fconn.closed conn))
+
 let suite =
   [
     ( "evloop",
@@ -105,5 +214,13 @@ let suite =
           test_dispatch_order;
         Alcotest.test_case "peer death between partial writes" `Quick
           test_peer_death_between_partial_writes;
+        Alcotest.test_case "one write per connection per turn" `Quick
+          test_one_write_per_turn;
+        Alcotest.test_case "send outside the loop flushes next turn" `Quick
+          test_send_outside_loop;
+        Alcotest.test_case "send then close delivers" `Quick
+          test_send_then_close;
+        Alcotest.test_case "backlog drops are counted" `Quick
+          test_backlog_drop_counted;
       ] );
   ]

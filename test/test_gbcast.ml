@@ -21,7 +21,8 @@ let classify = function
   | Order _ -> Conflict.Ordered
   | _ -> Conflict.Ordered
 
-let build ?(conflict = Conflict.by_class ~classify) w =
+let build ?(conflict = Conflict.by_class ~classify)
+    ?(spec = Conflict.of_relation conflict) w =
   let n = Array.length w.nodes in
   let logs = Array.make n [] in
   let abs =
@@ -36,7 +37,7 @@ let build ?(conflict = Conflict.by_class ~classify) w =
       (fun i node ->
         let gb =
           Gb.create node.proc ~rc:node.rc ~rb:node.rb ~ab:abs.(i)
-            ~conflict:(Conflict.of_relation conflict) ~members:(ids n) ()
+            ~conflict:spec ~members:(ids n) ()
         in
         Gb.on_deliver gb (fun ~origin:_ payload ->
             logs.(i) <- payload :: logs.(i));
@@ -231,6 +232,33 @@ let test_fig8_scenario_two_outcomes () =
           if a = `Update_first then incr update_first else incr change_first
       | _ -> Alcotest.fail "processes disagree on conflicting order"))
 
+(* The ack tallies forget delivered messages: after 10k commuting
+   messages at n = 4 (quorum 3, so every message gets a late fourth ack
+   after it is delivered) no tally is left behind.  The indexed relation
+   keeps the conflict probe O(classes) over the long conflict-free stage. *)
+let test_ack_tallies_bounded () =
+  let w = make_world ~n:4 () in
+  let gbs, logs = build ~spec:(Conflict.two_class ~classify) w in
+  let total = 10_000 in
+  for k = 0 to total - 1 do
+    ignore
+      (Engine.schedule w.engine ~delay:(float_of_int k *. 0.5) (fun () ->
+           Gb.gbcast gbs.(k mod 4) (Update k)))
+  done;
+  let peak = ref 0 in
+  let rec sample () =
+    peak := max !peak (Gb.ack_tallies gbs.(0));
+    if Engine.now w.engine < float_of_int total then
+      ignore (Engine.schedule w.engine ~delay:50.0 sample)
+  in
+  sample ();
+  run_until w 60_000.0;
+  for i = 0 to 3 do
+    check_int "all delivered" total (List.length logs.(i));
+    check_int "no tally left" 0 (Gb.ack_tallies gbs.(i))
+  done;
+  check_bool "in-flight tallies stay small" true (!peak < 200)
+
 let prop_generic_order_random =
   QCheck.Test.make ~name:"generic order across random mixed workloads" ~count:8
     QCheck.(pair small_nat (int_range 1 3))
@@ -272,6 +300,8 @@ let suite =
         Alcotest.test_case "crash tolerated at n=4" `Slow test_crash_tolerated_n4;
         Alcotest.test_case "figure 8: two consistent outcomes" `Slow
           test_fig8_scenario_two_outcomes;
+        Alcotest.test_case "ack tallies stay bounded" `Quick
+          test_ack_tallies_bounded;
         QCheck_alcotest.to_alcotest prop_generic_order_random;
       ] );
   ]

@@ -259,6 +259,11 @@ let test_typed_b1 () =
         (contains "Unix.sleep" d.D.message)
   | ds -> Alcotest.failf "expected exactly 1 B1, got %d" (List.length ds)
 
+let test_typed_b1_defer () =
+  Alcotest.check pairs "blocking call reached through Evloop.defer"
+    [ ("B1", 7) ]
+    (rule_lines (typed_findings ~rule:"B1" [ "Fixture_b1_defer" ]))
+
 let test_typed_b2 () =
   match typed_findings ~rule:"B2" [ "Fixture_b2" ] with
   | [ d ] ->
@@ -310,6 +315,8 @@ let suite =
         Alcotest.test_case "W2 planted tag conflicts" `Quick test_typed_w2;
         Alcotest.test_case "W3 planted coverage gaps" `Quick test_typed_w3;
         Alcotest.test_case "B1 planted blocking call" `Quick test_typed_b1;
+        Alcotest.test_case "B1 through the deferred-work hook" `Quick
+          test_typed_b1_defer;
         Alcotest.test_case "B2 planted escaping raise" `Quick test_typed_b2;
         Alcotest.test_case "E2 planted catalog misses" `Quick test_typed_e2;
         Alcotest.test_case "repo lints clean" `Quick test_repo_clean;

@@ -361,6 +361,34 @@ let test_decoder_stream_and_resync () =
   check_int "one reject" 1 (Frame.Decoder.rejected d);
   check_int "net.frame_reject counted" 1 (Metrics.counter m "net.frame_reject")
 
+(* Bodies decode in place, bounded by their frame: a string field whose
+   length runs past the end of its frame is [Truncated] even though the
+   next frame's bytes are already buffered behind it, and the stream
+   carries on at that next frame. *)
+let test_decoder_body_bounded_by_frame () =
+  let f = frame_of (Proto.Cl_put { rid = 3; key = "k"; value = String.make 40 'v' }) in
+  let body = String.sub f 4 (String.length f - 4) in
+  let cut = String.length body - 20 in
+  let short =
+    let b = Bytes.create (4 + cut) in
+    Bytes.set_int32_be b 0 (Int32.of_int cut);
+    Bytes.blit_string body 0 b 4 cut;
+    Bytes.to_string b
+  in
+  let next = frame_of (Proto.Cl_put { rid = 4; key = "k"; value = String.make 40 'w' }) in
+  let d = Frame.Decoder.create () in
+  Frame.Decoder.feed_string d (short ^ next);
+  (match Frame.Decoder.next d with
+  | `Corrupt (Frame.Codec Payload.Truncated) -> ()
+  | `Corrupt e -> Alcotest.failf "wrong reject: %s" (Frame.error_to_string e)
+  | `Payload p -> Alcotest.failf "overran into the next frame: %s" (Payload.to_string p)
+  | `Await -> Alcotest.fail "complete frame must not await");
+  (match Frame.Decoder.next d with
+  | `Payload (Proto.Cl_put { rid = 4; value; _ }) ->
+      check_str "next frame intact" (String.make 40 'w') value
+  | _ -> Alcotest.fail "stream must continue at the next frame");
+  check_int "fully consumed" 0 (Frame.Decoder.buffered d)
+
 let test_decoder_dead_on_bad_length () =
   let m = Metrics.create () in
   let d = Frame.Decoder.create ~limit:1024 ~metrics:m () in
@@ -394,6 +422,8 @@ let suite =
           test_frame_oversized;
         Alcotest.test_case "decoder streams, rejects, resyncs" `Quick
           test_decoder_stream_and_resync;
+        Alcotest.test_case "decoder bounds a body by its frame" `Quick
+          test_decoder_body_bounded_by_frame;
         Alcotest.test_case "decoder dies on length corruption" `Quick
           test_decoder_dead_on_bad_length;
       ] );
