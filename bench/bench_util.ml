@@ -177,23 +177,6 @@ let latencies_of w node =
   List.iter (fun d -> Stats.add s (d.recv_at -. d.sent_at)) !(w.deliveries.(node));
   s
 
-(* Longest gap between consecutive deliveries at [node] within the window —
-   the service blackout around a failure. *)
-let max_delivery_gap w node ~from_t ~to_t =
-  let times =
-    !(w.deliveries.(node))
-    |> List.filter_map (fun d ->
-           if d.recv_at >= from_t && d.recv_at <= to_t then Some d.recv_at
-           else None)
-    |> List.sort Float.compare
-  in
-  let rec go acc = function
-    | a :: (b :: _ as rest) -> go (Float.max acc (b -. a)) rest
-    | [ last ] -> Float.max acc (to_t -. last)
-    | [] -> to_t -. from_t
-  in
-  go 0.0 times
-
 let delivered_count w node = List.length !(w.deliveries.(node))
 
 (* Recovery latency: time from the crash to the first delivery (at [node])

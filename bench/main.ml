@@ -2,8 +2,7 @@
 
    Usage:
      dune exec bench/main.exe            # all experiments
-     dune exec bench/main.exe e3 e5      # a selection
-     dune exec bench/main.exe micro      # wall-clock micro-benchmarks only *)
+     dune exec bench/main.exe e3 e5      # a selection *)
 
 let experiments =
   [
@@ -16,8 +15,6 @@ let experiments =
     ("e7", E7_scalability.run);
     ("e8", E8_monitoring_policies.run);
     ("e9", E9_same_view_delivery.run);
-    ("e10", E10_loopback.run);
-    ("micro", Micro.run);
   ]
 
 let () =

@@ -248,14 +248,16 @@ and check_phase3 t inst st =
         if Fd.suspected t.monitor c then begin
           st.phase3_done <- true;
           Process.incr t.proc "consensus.coordinator_suspicions";
-          Process.emit t.proc ~component:"consensus" ~event:"skip_round"
-            ~attrs:
-              [
-                ("inst", string_of_int inst);
-                ("round", string_of_int r);
-                ("coord", string_of_int c);
-              ]
-            ();
+          if Process.traced t.proc then
+            Process.event t.proc ~component:"consensus"
+              ~kind:(Gc_obs.Event.Custom "skip_round")
+              ~attrs:
+                [
+                  ("inst", string_of_int inst);
+                  ("round", string_of_int r);
+                  ("coord", string_of_int c);
+                ]
+              ();
           (* Pace suspicion-driven round changes: with every coordinator
              suspected (e.g. during a partition) an immediate re-entry would
              spin through rounds without consuming virtual time. *)

@@ -36,7 +36,3 @@ let check = function
   | Relation r -> r
   | Indexed { classify; matrix; _ } ->
       fun m m' -> matrix (classify m) (classify m')
-
-let map_payload f = function
-  | Relation r -> Relation (fun a b -> r (f a) (f b))
-  | Indexed i -> Indexed { i with classify = (fun p -> i.classify (f p)) }

@@ -73,8 +73,3 @@ val check : t -> relation
 (** The pairwise view of a specification — [check (of_relation r) = r];
     for an indexed specification, the relation induced by classifying both
     payloads and consulting the matrix. *)
-
-val map_payload : (Gc_net.Payload.t -> Gc_net.Payload.t) -> t -> t
-(** Pre-compose the specification with a payload projection — e.g. peeling
-    an envelope before classifying (see
-    {!Fifo_generic_broadcast.lift_conflict}). *)

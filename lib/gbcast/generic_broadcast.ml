@@ -310,9 +310,11 @@ let rec freeze t =
     t.frozen <- true;
     t.froze_at <- Process.now t.proc;
     Process.incr t.proc "gbcast.freezes";
-    Process.emit t.proc ~component:"gbcast" ~event:"freeze"
-      ~attrs:[ ("stage", string_of_int t.stage) ]
-      ();
+    if Process.traced t.proc then
+      Process.event t.proc ~component:"gbcast"
+        ~kind:(Gc_obs.Event.Custom "freeze")
+        ~attrs:[ ("stage", string_of_int t.stage) ]
+        ();
     let acked = acked_msgs t and pending = pending_msgs t in
     record_state t ~src:(Process.id t.proc) ~stage:t.stage ~acked ~pending;
     (* In all-members mode a cut needs no remote states (C = 1): each process
@@ -396,14 +398,16 @@ and force_cut t =
       in
       Hashtbl.replace t.cut_proposed t.stage ();
       Process.incr t.proc "gbcast.cuts_proposed";
-      Process.emit t.proc ~component:"gbcast" ~event:"propose_cut"
-        ~attrs:
-          [
-            ("stage", string_of_int t.stage);
-            ("first", string_of_int (List.length first));
-            ("rest", string_of_int (List.length rest));
-          ]
-        ();
+      if Process.traced t.proc then
+        Process.event t.proc ~component:"gbcast"
+          ~kind:(Gc_obs.Event.Custom "propose_cut")
+          ~attrs:
+            [
+              ("stage", string_of_int t.stage);
+              ("first", string_of_int (List.length first));
+              ("rest", string_of_int (List.length rest));
+            ]
+          ();
       Ab.abcast t.ab (Gb_cut { stage = t.stage; first; rest })
     end
   end
@@ -451,13 +455,15 @@ and try_fast_deliver t id =
       | Some m ->
           t.n_fast <- t.n_fast + 1;
           Process.incr t.proc "gbcast.fast_deliveries";
-          Process.emit t.proc ~component:"gbcast" ~event:"fast_deliver"
-            ~attrs:
-              [
-                ("origin", string_of_int (fst id));
-                ("gseq", string_of_int (snd id));
-              ]
-            ();
+          if Process.traced t.proc then
+            Process.event t.proc ~component:"gbcast"
+              ~kind:(Gc_obs.Event.Custom "fast_deliver")
+              ~attrs:
+                [
+                  ("origin", string_of_int (fst id));
+                  ("gseq", string_of_int (snd id));
+                ]
+              ();
           deliver t m
       | None -> ()
     end
@@ -501,9 +507,11 @@ let apply_cut t ~stage ~first ~rest =
     Sorted.iter (fun id m -> Conflict_index.add t.index id m.body) t.pending;
     t.stage <- stage + 1;
     t.frozen <- false;
-    Process.emit t.proc ~component:"gbcast" ~event:"new_stage"
-      ~attrs:[ ("stage", string_of_int t.stage) ]
-      ();
+    if Process.traced t.proc then
+      Process.event t.proc ~component:"gbcast"
+        ~kind:(Gc_obs.Event.Custom "new_stage")
+        ~attrs:[ ("stage", string_of_int t.stage) ]
+        ();
     reexamine_pending t;
     (* Some members may already have frozen the new stage (their states were
        stored above while we were still behind). *)

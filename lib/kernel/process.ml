@@ -74,9 +74,6 @@ let event t ~component ~kind ?msg ?attrs () =
   Trace.emit_event (trace t) ~time:(now t) ~node:t.id ~component ~kind ?msg
     ?attrs ()
 
-let emit t ~component ~event ?attrs () =
-  Trace.emit (trace t) ~time:(now t) ~node:t.id ~component ~event ?attrs ()
-
 let incr ?by t name = Gc_obs.Metrics.incr ?by t.metrics name
 let observe t name value = Gc_obs.Metrics.observe t.metrics name value
 let set_gauge t name value = Gc_obs.Metrics.set_gauge t.metrics name value

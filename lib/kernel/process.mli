@@ -81,13 +81,6 @@ val event :
     the node's Lamport clock; [msg] is the stable message id the event
     concerns (e.g. ["ab:0.3"]). *)
 
-val emit :
-  t -> component:string -> event:string ->
-  ?attrs:(string * string) list -> unit -> unit
-(** String-tagged trace helper; [event] is mapped through
-    {!Gc_obs.Event.kind_of_string}.  Prefer {!event} on protocol
-    lifecycle paths. *)
-
 val incr : ?by:int -> t -> string -> unit
 (** Bump a counter in the node's metrics registry. *)
 

@@ -71,7 +71,7 @@ let realtime_dirs = [ "runtime_unix"; "server" ]
 let realtime_files =
   [
     "bin/gcs_server.ml"; "bin/gcs_client.ml"; "bin/gcs_top.ml";
-    "bench/e10_loopback.ml"; "bench/perf.ml";
+    "bench/perf.ml";
   ]
 
 let has_suffix ~suffix s =
@@ -378,8 +378,4 @@ let metrics =
     c "server.delta_rejected"; c "server.reply_syncs";
     c "server.recovered_ops"; c "server.dup_ops_skipped";
     h "server.recovery_ms";
-    (* loopback bench client *)
-    h "client.latency"; g "client.latency_max"; g "client.latency_p50";
-    g "client.latency_p90"; g "client.latency_p99"; c "client.refused";
-    c "client.unexpected";
   ]

@@ -81,7 +81,6 @@ type t = {
   mutable left : bool;
   mutable pending_removes : int list; (* proposed in the current view *)
   mutable view_subscribers : (View.t -> unit) list;
-  mutable left_subscribers : (unit -> unit) list;
   mutable n_views : int;
   mutable join_requested_at : float option; (* pending join, for join_ms *)
   mutable change_proposed_at : float option; (* pending local change, for change_ms *)
@@ -91,7 +90,6 @@ let view t = t.current
 let joined t = t.joined
 let left t = t.left
 let on_view t f = t.view_subscribers <- f :: t.view_subscribers
-let on_left t f = t.left_subscribers <- f :: t.left_subscribers
 let view_changes t = t.n_views
 
 let me t = Process.id t.proc
@@ -117,8 +115,9 @@ let install t v =
   List.iter (fun f -> f v) (List.rev t.view_subscribers);
   if t.joined && not (View.mem v (me t)) then begin
     t.left <- true;
-    Process.emit t.proc ~component:"membership" ~event:"left" ();
-    List.iter (fun f -> f ()) (List.rev t.left_subscribers)
+    if Process.traced t.proc then
+      Process.event t.proc ~component:"membership"
+        ~kind:(Gc_obs.Event.Custom "left") ()
   end
 
 let handle_change t ~adds ~removes ~sponsor =
@@ -169,7 +168,6 @@ let create proc ~rc ~transport ?(state_transfer_delay = 0.0) ?state_provider
       left = false;
       pending_removes = [];
       view_subscribers = [];
-      left_subscribers = [];
       n_views = 0;
       join_requested_at = None;
       change_proposed_at = None;

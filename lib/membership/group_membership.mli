@@ -90,8 +90,5 @@ val on_view : t -> (View.t -> unit) -> unit
 (** Called at every view installation ([new_view] in Figure 9), including the
     joiner's first. *)
 
-val on_left : t -> (unit -> unit) -> unit
-(** Called when this process is excluded from the group. *)
-
 val view_changes : t -> int
 (** Number of views installed locally (for tests and benches). *)

@@ -127,13 +127,13 @@ let partition t groups =
   let extra = List.length groups in
   Array.iteri (fun i gid -> if gid = -1 then g.(i) <- extra) g;
   t.group_of <- Some g;
-  Trace.emit t.trace ~time:(Engine.now t.engine) ~node:(-1) ~component:"net"
-    ~event:"partition" ()
+  Trace.emit_event t.trace ~time:(Engine.now t.engine) ~node:(-1)
+    ~component:"net" ~kind:(Gc_obs.Event.Custom "partition") ()
 
 let heal t =
   t.group_of <- None;
-  Trace.emit t.trace ~time:(Engine.now t.engine) ~node:(-1) ~component:"net"
-    ~event:"heal" ()
+  Trace.emit_event t.trace ~time:(Engine.now t.engine) ~node:(-1)
+    ~component:"net" ~kind:(Gc_obs.Event.Custom "heal") ()
 
 let delay_spike t ~nodes ~until ~extra =
   List.iter

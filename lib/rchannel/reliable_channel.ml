@@ -222,9 +222,11 @@ let renumber t dst (o : outgoing) =
   o.gen <- o.gen + 1;
   o.stuck_reported <- false;
   Process.incr t.proc "rchannel.stream_resets";
-  Process.emit t.proc ~component:"rchannel" ~event:"stream_reset"
-    ~attrs:[ ("dst", string_of_int dst); ("gen", string_of_int o.gen) ]
-    ();
+  if Process.traced t.proc then
+    Process.event t.proc ~component:"rchannel"
+      ~kind:(Gc_obs.Event.Custom "stream_reset")
+      ~attrs:[ ("dst", string_of_int dst); ("gen", string_of_int o.gen) ]
+      ();
   let now = Process.now t.proc in
   List.iter
     (fun p ->
@@ -276,10 +278,15 @@ let retransmit t =
           if age > t.stuck_after then begin
             o.stuck_reported <- true;
             Process.incr t.proc "rchannel.stuck_detections";
-            Process.emit t.proc ~component:"rchannel" ~event:"stuck"
-              ~attrs:
-                [ ("dst", string_of_int dst); ("age_ms", Printf.sprintf "%.0f" age) ]
-              ();
+            if Process.traced t.proc then
+              Process.event t.proc ~component:"rchannel"
+                ~kind:(Gc_obs.Event.Custom "stuck")
+                ~attrs:
+                  [
+                    ("dst", string_of_int dst);
+                    ("age_ms", Printf.sprintf "%.0f" age);
+                  ]
+                ();
             f ~dst ~age
           end
       | _ -> ())

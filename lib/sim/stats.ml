@@ -25,17 +25,6 @@ let fold f init s =
 let mean s =
   if s.size = 0 then nan else fold ( +. ) 0.0 s /. float_of_int s.size
 
-let stddev s =
-  if s.size = 0 then nan
-  else begin
-    let m = mean s in
-    let var =
-      fold (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0.0 s
-      /. float_of_int s.size
-    in
-    sqrt var
-  end
-
 let min_value s = if s.size = 0 then nan else fold Float.min infinity s
 let max_value s = if s.size = 0 then nan else fold Float.max neg_infinity s
 
@@ -52,13 +41,6 @@ let percentile s p =
   end
 
 let median s = percentile s 50.0
-
-type counter = { mutable n : int }
-
-let counter () = { n = 0 }
-let incr c = c.n <- c.n + 1
-let incr_by c k = c.n <- c.n + k
-let value c = c.n
 
 let fmt_ms x =
   if Float.is_nan x then "-"

@@ -1,4 +1,4 @@
-(** Measurement helpers for experiments: samples, counters and formatted
+(** Measurement helpers for experiments: samples and formatted
     summary rows.
 
     All experiment tables in the benchmark harness are produced from these
@@ -16,25 +16,16 @@ val count : sample -> int
 val mean : sample -> float
 (** Mean of the observations; [nan] when empty. *)
 
-val stddev : sample -> float
-(** Population standard deviation; [nan] when empty. *)
-
 val min_value : sample -> float
 val max_value : sample -> float
 
 val percentile : sample -> float -> float
-(** [percentile s p] for [p] in [\[0,100\]], by nearest-rank on the sorted
-    observations; [nan] when empty. *)
+(** [percentile s p] for [p] in [\[0,100\]]: linear interpolation between
+    the two closest ranks of the sorted observations (rank
+    [p/100 * (count - 1)], so the median of 1..100 is 50.5); [nan] when
+    empty. *)
 
 val median : sample -> float
-
-(** {1 Counters} *)
-
-type counter
-val counter : unit -> counter
-val incr : counter -> unit
-val incr_by : counter -> int -> unit
-val value : counter -> int
 
 (** {1 Table formatting} *)
 

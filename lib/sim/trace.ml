@@ -27,7 +27,6 @@ let create ?(enabled = false) ?(capacity = 100_000) () =
     dropped = 0;
   }
 
-let enable t b = t.on <- b
 let enabled t = t.on
 
 let clock t ~node =
@@ -52,10 +51,6 @@ let emit_event t ~time ~node ~component ~kind ?msg ?(attrs = []) () =
     end;
     Queue.push { time; node; lamport; component; kind; msg; attrs } t.buf
   end
-
-let emit t ~time ~node ~component ~event ?attrs () =
-  emit_event t ~time ~node ~component ~kind:(Event.kind_of_string event) ?attrs
-    ()
 
 let detail = Event.detail
 let attr = Event.attr

@@ -4,7 +4,7 @@
     record carries the emitting node's Lamport clock, so a recorded run
     is an execution history the offline auditor ({!Gc_obs.Audit}) can
     replay and check.  The recorder also owns the per-node Lamport
-    clocks: {!emit} ticks the emitter's clock, and the network layer
+    clocks: {!emit_event} ticks the emitter's clock, and the network layer
     calls {!merge_clock} when a datagram arrives so causality crosses
     node boundaries.
 
@@ -28,7 +28,6 @@ val create : ?enabled:bool -> ?capacity:int -> unit -> t
 (** A trace buffer keeping at most [capacity] (default 100_000) most recent
     records. *)
 
-val enable : t -> bool -> unit
 val enabled : t -> bool
 
 (** {1 Lamport clocks} *)
@@ -55,12 +54,6 @@ val emit_event :
   unit ->
   unit
 (** Record a typed event, ticking [node]'s Lamport clock. *)
-
-val emit :
-  t -> time:float -> node:int -> component:string -> event:string ->
-  ?attrs:(string * string) list -> unit -> unit
-(** String-tagged convenience wrapper: [event] is mapped through
-    {!Gc_obs.Event.kind_of_string} (unknown tags become [Custom]). *)
 
 (** {1 Inspection} *)
 

@@ -272,9 +272,11 @@ and start_recovery t proposal joiners =
   adopt_recovery t epoch;
   Hashtbl.replace r.responses (me t) (t.last_gseq, recovery_payload t);
   Process.incr t.proc "totem.recoveries";
-  Process.emit t.proc ~component:"totem" ~event:"recovery_start"
-    ~attrs:[ ("epoch", Printf.sprintf "%d,%d" (fst epoch) (snd epoch)) ]
-    ();
+  if Process.traced t.proc then
+    Process.event t.proc ~component:"totem"
+      ~kind:(Gc_obs.Event.Custom "recovery_start")
+      ~attrs:[ ("epoch", Printf.sprintf "%d,%d" (fst epoch) (snd epoch)) ]
+      ();
   List.iter
     (fun q ->
       if q <> me t && List.mem q old then

@@ -403,13 +403,15 @@ and start_flush t proposal joiners =
   in
   t.my_flush <- Some f;
   Process.incr t.proc "traditional.flushes";
-  Process.emit t.proc ~component:"traditional" ~event:"flush_start"
-    ~attrs:
-      [
-        ("epoch", Printf.sprintf "%d,%d" (fst epoch) (snd epoch));
-        ("proposal", String.concat ";" (List.map string_of_int proposal));
-      ]
-    ();
+  if Process.traced t.proc then
+    Process.event t.proc ~component:"traditional"
+      ~kind:(Gc_obs.Event.Custom "flush_start")
+      ~attrs:
+        [
+          ("epoch", Printf.sprintf "%d,%d" (fst epoch) (snd epoch));
+          ("proposal", String.concat ";" (List.map string_of_int proposal));
+        ]
+      ();
   (* Ask every surviving old member (they hold old-view state); pure joiners
      have nothing to flush. *)
   let responders = List.filter (fun q -> List.mem q old_members) proposal in

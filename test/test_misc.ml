@@ -17,13 +17,16 @@ let () =
 
 let test_trace_roundtrip () =
   let tr = Trace.create ~enabled:true () in
-  Trace.emit tr ~time:1.0 ~node:0 ~component:"a" ~event:"x"
+  Trace.emit_event tr ~time:1.0 ~node:0 ~component:"a"
+    ~kind:(Gc_obs.Event.kind_of_string "x")
     ~attrs:[ ("step", "one") ]
     ();
-  Trace.emit tr ~time:2.0 ~node:1 ~component:"b" ~event:"y"
+  Trace.emit_event tr ~time:2.0 ~node:1 ~component:"b"
+    ~kind:(Gc_obs.Event.kind_of_string "y")
     ~attrs:[ ("step", "two") ]
     ();
-  Trace.emit tr ~time:3.0 ~node:0 ~component:"a" ~event:"y"
+  Trace.emit_event tr ~time:3.0 ~node:0 ~component:"a"
+    ~kind:(Gc_obs.Event.kind_of_string "y")
     ~attrs:[ ("step", "three"); ("extra", "z") ]
     ();
   check_int "all records" 3 (List.length (Trace.records tr));
@@ -45,11 +48,13 @@ let test_trace_roundtrip () =
 
 let test_trace_disabled_and_capacity () =
   let off = Trace.create () in
-  Trace.emit off ~time:1.0 ~node:0 ~component:"a" ~event:"x" ();
+  Trace.emit_event off ~time:1.0 ~node:0 ~component:"a"
+    ~kind:(Gc_obs.Event.kind_of_string "x") ();
   check_int "disabled drops" 0 (List.length (Trace.records off));
   let tiny = Trace.create ~enabled:true ~capacity:3 () in
   for i = 1 to 5 do
-    Trace.emit tiny ~time:(float_of_int i) ~node:0 ~component:"a" ~event:"x" ()
+    Trace.emit_event tiny ~time:(float_of_int i) ~node:0 ~component:"a"
+      ~kind:(Gc_obs.Event.kind_of_string "x") ()
   done;
   let records = Trace.records tiny in
   check_int "capacity bound" 3 (List.length records);

@@ -290,7 +290,8 @@ let test_prometheus_exposition () =
 let test_trace_capacity () =
   let t = Trace.create ~enabled:true ~capacity:10 () in
   for i = 0 to 24 do
-    Trace.emit t ~time:(float_of_int i) ~node:0 ~component:"c" ~event:"e"
+    Trace.emit_event t ~time:(float_of_int i) ~node:0 ~component:"c"
+      ~kind:(Gc_obs.Event.kind_of_string "e")
       ~attrs:[ ("i", string_of_int i) ]
       ()
   done;
@@ -305,10 +306,12 @@ let test_trace_capacity () =
 
 let test_structured_emit () =
   let t = Trace.create ~enabled:true () in
-  Trace.emit t ~time:1.0 ~node:2 ~component:"layer" ~event:"deliver"
+  Trace.emit_event t ~time:1.0 ~node:2 ~component:"layer"
+    ~kind:(Gc_obs.Event.kind_of_string "deliver")
     ~attrs:[ ("detail", "free-form detail") ]
     ();
-  Trace.emit t ~time:2.0 ~node:2 ~component:"layer" ~event:"frobnicate" ();
+  Trace.emit_event t ~time:2.0 ~node:2 ~component:"layer"
+    ~kind:(Gc_obs.Event.kind_of_string "frobnicate") ();
   match Trace.records t with
   | [ r1; r2 ] ->
       Alcotest.(check (option string))

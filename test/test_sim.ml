@@ -132,7 +132,13 @@ let test_stats_percentiles () =
   Alcotest.(check (float 0.001)) "p100" 100.0 (Stats.percentile s 100.0);
   Alcotest.(check (float 0.001)) "mean" 50.5 (Stats.mean s);
   Alcotest.(check (float 0.001)) "min" 1.0 (Stats.min_value s);
-  Alcotest.(check (float 0.001)) "max" 100.0 (Stats.max_value s)
+  Alcotest.(check (float 0.001)) "max" 100.0 (Stats.max_value s);
+  (* Between ranks the value is interpolated, not the nearest rank (9). *)
+  let ten = Stats.sample () in
+  for i = 1 to 10 do
+    Stats.add ten (float_of_int i)
+  done;
+  Alcotest.(check (float 0.001)) "p90 of 1..10" 9.1 (Stats.percentile ten 90.0)
 
 let test_stats_empty () =
   let s = Stats.sample () in
