@@ -23,7 +23,7 @@ module Pending = Map.Make (struct
   let compare (a : int * int) (b : int * int) = Stdlib.compare a b
 end)
 
-module Delivered = Delivered_set
+module Delivered = Gc_kernel.Delivered_set
 
 type Gc_net.Payload.t +=
   | Ab_data of msg
@@ -101,7 +101,6 @@ let () =
 type t = {
   proc : Process.t;
   rb : Rb.t;
-  storage : Gc_kernel.Storage.t option;
   mutable consensus : Consensus.t option;
   mutable member_list : int list;
   mutable next_mseq : int;
@@ -143,23 +142,6 @@ let pending_remove t id =
     t.pending_n <- t.pending_n - 1
   end
 
-(* Write-ahead: one Storage.Record per delivery, appended after the
-   delivered-set dedup accepts the id and before the application sees the
-   message, so a crash between the two replays it on recovery rather than
-   losing it.  A payload without a registered codec cannot be made durable;
-   it is counted and delivered anyway (sim-only payloads hit this). *)
-let log_delivery t ~origin ~seq ~ordered body =
-  match t.storage with
-  | None -> ()
-  | Some store -> (
-      match Gc_net.Payload.encode body with
-      | Ok payload ->
-          ignore
-            (Gc_kernel.Storage.append store
-               (Gc_kernel.Storage.Record.encode
-                  { Gc_kernel.Storage.Record.origin; seq; ordered; payload }))
-      | Error _ -> Process.incr t.proc "storage.append_skipped")
-
 let try_start t =
   if member t && not (Hashtbl.mem t.proposed t.next_to_apply) then begin
     let batch = current_batch t in
@@ -188,8 +170,6 @@ let apply_decisions t =
             let id = msg_id m in
             if Delivered.add t.delivered id then begin
               pending_remove t id;
-              log_delivery t ~origin:m.origin ~seq:t.n_delivered ~ordered:true
-                m.body;
               t.n_delivered <- t.n_delivered + 1;
               Process.incr t.proc "abcast.delivered";
               Process.observe t.proc "abcast.latency_ms"
@@ -227,23 +207,16 @@ let on_solicit t ~inst =
   if inst > t.max_solicited then t.max_solicited <- inst;
   if inst >= t.next_to_apply then try_start t
 
-(* Message ids are (origin, mseq) and receivers dedup on them for the life
-   of the run, so a process restarting from its log must never reuse an
-   mseq from a previous incarnation: scope the counter by boot epoch,
-   leaving 2^40 submissions per boot.  Epoch 0 keeps historical numbering. *)
-let epoch_bits = 40
-
 let create proc ~rc ~rb ~fd ?(suspect_timeout = 200.0) ?(adaptive = false)
-    ?(batch_max = 1) ?(batch_delay = 1.0) ?storage ?(epoch = 0) ~members () =
+    ?(batch_max = 1) ?(batch_delay = 1.0) ?(epoch = 0) ~members () =
   if batch_max < 1 then invalid_arg "Atomic_broadcast.create: batch_max < 1";
   let t =
     {
       proc;
       rb;
-      storage;
       consensus = None;
       member_list = members;
-      next_mseq = epoch lsl epoch_bits;
+      next_mseq = Delivered.first_seq ~epoch;
       next_to_apply = 0;
       pending = Pending.empty;
       pending_n = 0;
@@ -342,14 +315,13 @@ let bootstrap t ~next_instance ~members ~delivered =
   List.iter
     (fun inst -> if inst < next_instance then Hashtbl.remove t.proposed inst)
     (Sorted.keys t.proposed);
-  List.iter
-    (fun id ->
-      ignore (Delivered.add t.delivered id);
-      (* Stragglers rdelivered before the transfer completed are already
-         delivered at the snapshot source: purge them, or every future
-         proposal would re-propose them forever. *)
-      pending_remove t id)
-    delivered;
+  Delivered.union_into ~into:t.delivered delivered;
+  (* Stragglers rdelivered before the transfer completed are already
+     delivered at the snapshot source: purge them, or every future proposal
+     would re-propose them forever. *)
+  t.pending <-
+    Pending.filter (fun id _ -> not (Delivered.mem t.delivered id)) t.pending;
+  t.pending_n <- Pending.cardinal t.pending;
   note_pending t;
   (* Decisions that raced ahead of the state transfer may already be waiting;
      apply them from the new starting point. *)
@@ -357,6 +329,6 @@ let bootstrap t ~next_instance ~members ~delivered =
 
 let delivered_count t = t.n_delivered
 let next_instance t = t.next_to_apply
-let delivered_ids t = Delivered.ids t.delivered
+let delivered t = t.delivered
 let pending_count t = t.pending_n
 let rounds_used t ~inst = Consensus.rounds_used (consensus_of t) ~inst

@@ -33,7 +33,6 @@ val create :
   ?adaptive:bool ->
   ?batch_max:int ->
   ?batch_delay:float ->
-  ?storage:Gc_kernel.Storage.t ->
   ?epoch:int ->
   members:int list ->
   unit ->
@@ -43,15 +42,11 @@ val create :
     with the aggressive [suspect_timeout], default 200 ms; [adaptive]
     switches it to the self-tuning monitor).
 
-    [storage], when given, receives one {!Gc_kernel.Storage.Record} per
-    adelivered message, appended between the duplicate-suppression check and
-    the subscriber callbacks (write-ahead with respect to the application),
-    so a crash-recovered process can replay exactly what it had delivered.
-
     [epoch] (default 0) is the boot incarnation: message ids are
     [(origin, mseq)] and receivers dedup on them for the life of the run,
-    so a restarted process must number its submissions above every
-    previous incarnation's.
+    so a restarted process numbers its submissions from
+    {!Gc_kernel.Delivered_set.first_seq}[ ~epoch], above every previous
+    incarnation's.  (No durable log here: generic broadcast keeps it.)
 
     [batch_max] (default 1 = unbatched) and [batch_delay] (default 1 ms)
     batch submissions through a size/tick watermark ({!Batcher}): up to
@@ -84,17 +79,20 @@ val set_members : t -> int list -> unit
 val members : t -> int list
 
 val bootstrap :
-  t -> next_instance:int -> members:int list -> delivered:(int * int) list ->
-  unit
+  t -> next_instance:int -> members:int list ->
+  delivered:Gc_kernel.Delivered_set.t -> unit
 (** Joiner initialisation from a state transfer: start applying decisions at
     [next_instance] among [members], treating the ids in [delivered] as
-    already delivered (so re-proposed stragglers are not delivered twice). *)
+    already delivered (so re-proposed stragglers are not delivered twice)
+    and purging them from the pending set. *)
+
+val delivered : t -> Gc_kernel.Delivered_set.t
+(** The live delivered set: {!Gc_kernel.Delivered_set.copy} it to ship it. *)
 
 (** {1 Introspection (tests and benches)} *)
 
 val delivered_count : t -> int
 val next_instance : t -> int
-val delivered_ids : t -> (int * int) list
 
 (** Messages rdelivered but not yet adelivered (the proposal backlog). *)
 val pending_count : t -> int

@@ -87,9 +87,9 @@ type Gc_net.Payload.t +=
   | Gcs_app of { klass : Conflict.klass; body : Gc_net.Payload.t }
   | Gcs_snapshot of {
       next_instance : int;
-      ab_delivered : (int * int) list;
+      ab_delivered : Gc_kernel.Delivered_set.t;
       gb_stage : int;
-      gb_delivered : (int * int) list;
+      gb_delivered : Gc_kernel.Delivered_set.t;
       app : Gc_net.Payload.t option;
     }
 
@@ -106,8 +106,7 @@ let () =
 
 let () =
   let module W = Gc_net.Wire in
-  let write_id w (a, b) = W.pair w W.varint W.varint (a, b) in
-  let read_id r = W.read_pair r W.read_varint W.read_varint in
+  let module D = Gc_kernel.Delivered_set in
   Gc_net.Payload.register_codec ~tag:"gcs"
     ~encode:(fun enc w p ->
       match p with
@@ -120,9 +119,9 @@ let () =
         ->
           W.u8 w 1;
           W.varint w next_instance;
-          W.list w write_id ab_delivered;
+          D.write w ab_delivered;
           W.varint w gb_stage;
-          W.list w write_id gb_delivered;
+          D.write w gb_delivered;
           W.option w enc app;
           true
       | _ -> false)
@@ -140,9 +139,9 @@ let () =
           Gcs_app { klass; body }
       | 1 ->
           let next_instance = W.read_varint r in
-          let ab_delivered = W.read_list r read_id in
+          let ab_delivered = D.read r in
           let gb_stage = W.read_varint r in
-          let gb_delivered = W.read_list r read_id in
+          let gb_delivered = D.read r in
           let app = W.read_option r dec in
           Gcs_snapshot { next_instance; ab_delivered; gb_stage; gb_delivered; app }
       | k -> Gc_net.Payload.malformed (Printf.sprintf "gcs constructor %d" k))
@@ -206,13 +205,15 @@ let create runtime ?metrics ~id ~initial ?(config = default_config)
       ~members:initial ()
   in
   let ab_ref = ref ab and gb_ref = ref gb in
+  (* Copies: the simulator hands payloads over by reference, so a live set
+     would show the joiner ids delivered here after the snapshot. *)
   let state_provider ~have =
     Gcs_snapshot
       {
         next_instance = Ab.next_instance !ab_ref;
-        ab_delivered = Ab.delivered_ids !ab_ref;
+        ab_delivered = Gc_kernel.Delivered_set.copy (Ab.delivered !ab_ref);
         gb_stage = Gb.stage !gb_ref;
-        gb_delivered = Gb.delivered_ids !gb_ref;
+        gb_delivered = Gc_kernel.Delivered_set.copy (Gb.delivered !gb_ref);
         app = Option.map (fun f -> f ~have) app_state_provider;
       }
   in

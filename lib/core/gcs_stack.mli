@@ -124,9 +124,9 @@ type Gc_net.Payload.t +=
   | Gcs_app of { klass : Gc_gbcast.Conflict.klass; body : Gc_net.Payload.t }
   | Gcs_snapshot of {
       next_instance : int;
-      ab_delivered : (int * int) list;
+      ab_delivered : Gc_kernel.Delivered_set.t;
       gb_stage : int;
-      gb_delivered : (int * int) list;
+      gb_delivered : Gc_kernel.Delivered_set.t;
       app : Gc_net.Payload.t option;
     }
 

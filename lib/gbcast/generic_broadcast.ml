@@ -3,7 +3,7 @@ module Rc = Gc_rchannel.Reliable_channel
 module Rb = Gc_rbcast.Reliable_broadcast
 module Ab = Gc_abcast.Atomic_broadcast
 module Batcher = Gc_abcast.Batcher
-module Delivered = Gc_abcast.Delivered_set
+module Delivered = Gc_kernel.Delivered_set
 module Sorted = Gc_sim.Sorted
 
 type msg = {
@@ -208,10 +208,10 @@ let track_pending t id m =
   Hashtbl.replace t.pending id m;
   Conflict_index.add t.index id m.body
 
-(* Write-ahead delivery log (see Atomic_broadcast.log_delivery): appended
-   after dedup accepts the id, before subscribers run.  [ordered] records
-   the message's conflict class so recovery can distinguish totally-ordered
-   deliveries from commuting ones. *)
+(* Write-ahead delivery log: appended after dedup accepts the id, before
+   subscribers run.  [ordered] records the message's conflict class so
+   recovery can tell totally-ordered deliveries from commuting ones.  A
+   payload without a codec is counted and delivered anyway (sim-only). *)
 let log_delivery t m =
   match t.storage with
   | None -> ()
@@ -522,12 +522,6 @@ let apply_cut t ~stage ~first ~rest =
     else if t.frozen then try_cut t
   end
 
-(* Message ids are (origin, gseq) and receivers dedup on them for the life
-   of the run, so a process restarting from its log must never reuse a
-   gseq from a previous incarnation: scope the counter by boot epoch,
-   leaving 2^40 submissions per boot.  Epoch 0 keeps historical numbering. *)
-let epoch_bits = 40
-
 let create proc ~rc ~rb ~ab ~conflict ?(ack_mode = Two_thirds)
     ?(cut_backoff = 15.0) ?(batch_max = 1) ?(batch_delay = 1.0) ?storage
     ?(epoch = 0) ~members () =
@@ -543,7 +537,7 @@ let create proc ~rc ~rb ~ab ~conflict ?(ack_mode = Two_thirds)
       index = Conflict_index.create conflict;
       ack_mode;
       member_list = members;
-      next_gseq = epoch lsl epoch_bits;
+      next_gseq = Delivered.first_seq ~epoch;
       stage = 0;
       frozen = false;
       pending = Hashtbl.create 64;
@@ -686,17 +680,16 @@ let members t = t.member_list
 let delivered_count t = t.n_delivered
 let fast_delivered_count t = t.n_fast
 let stage t = t.stage
+let delivered t = t.delivered
 
 let ack_tallies t =
   Sorted.fold ~cmp:Int.compare
     (fun _ tallies n -> n + Hashtbl.length tallies)
     t.ack_counts 0
 
-let delivered_ids t = Delivered.ids t.delivered
-
 let bootstrap t ~stage ~delivered =
   t.stage <- stage;
-  List.iter (fun id -> ignore (Delivered.add t.delivered id)) delivered;
+  Delivered.union_into ~into:t.delivered delivered;
   (* States published by members already frozen in this stage may be waiting. *)
   if Hashtbl.length (state_table t t.stage) > 0 then begin
     freeze t;

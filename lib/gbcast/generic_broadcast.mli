@@ -100,8 +100,9 @@ val create :
 
     [epoch] (default 0) is the boot incarnation: message ids are
     [(origin, gseq)] and receivers dedup on them for the life of the run,
-    so a restarted process must number its submissions above every
-    previous incarnation's. *)
+    so a restarted process numbers its submissions from
+    {!Gc_kernel.Delivered_set.first_seq}[ ~epoch], above every previous
+    incarnation's. *)
 
 val gbcast : t -> ?size:int -> Gc_net.Payload.t -> unit
 (** Generic-broadcast [payload] to the current members. *)
@@ -136,8 +137,9 @@ val ack_tallies : t -> int
     collecting acks.  Bounded by the messages in flight, not by how many
     were ever delivered. *)
 
-val delivered_ids : t -> (int * int) list
+val delivered : t -> Gc_kernel.Delivered_set.t
+(** The live delivered set: {!Gc_kernel.Delivered_set.copy} it to ship it. *)
 
-val bootstrap : t -> stage:int -> delivered:(int * int) list -> unit
+val bootstrap : t -> stage:int -> delivered:Gc_kernel.Delivered_set.t -> unit
 (** Joiner initialisation from a state transfer: start at [stage], treating
-    the listed message ids as already delivered. *)
+    the ids in [delivered] as already delivered. *)

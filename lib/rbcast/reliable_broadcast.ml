@@ -1,5 +1,6 @@
 module Process = Gc_kernel.Process
 module Rc = Gc_rchannel.Reliable_channel
+module Delivered = Gc_kernel.Delivered_set
 
 type Gc_net.Payload.t +=
   | Rb_msg of {
@@ -42,7 +43,7 @@ let () =
 type t = {
   proc : Process.t;
   rc : Rc.t;
-  seen : (int * int, unit) Hashtbl.t; (* (origin, bid) already delivered *)
+  seen : Delivered.t; (* (origin, bid) already delivered *)
   mutable next_bid : int;
   mutable subscribers : (origin:int -> Gc_net.Payload.t -> unit) list;
   mutable delivered : int;
@@ -55,8 +56,7 @@ let deliver t ~origin inner =
 
 let handle t = function
   | Rb_msg { origin; bid; inner; dests; size } ->
-      if not (Hashtbl.mem t.seen (origin, bid)) then begin
-        Hashtbl.replace t.seen (origin, bid) ();
+      if Delivered.add t.seen (origin, bid) then begin
         (* Relay before delivering: if we deliver, every correct destination
            has the message in some correct process's reliable channel. *)
         let me = Process.id t.proc in
@@ -75,19 +75,13 @@ let handle t = function
       end
   | _ -> ()
 
-(* Broadcast ids are (origin, bid) and peers dedup on them forever, so a
-   process restarting from its log must never reuse a bid from a previous
-   incarnation: scope the counter by boot epoch, leaving 2^40 broadcasts
-   per boot.  Epoch 0 (the default) keeps the historical numbering. *)
-let epoch_bits = 40
-
 let create proc ?(epoch = 0) rc =
   let t =
     {
       proc;
       rc;
-      seen = Hashtbl.create 64;
-      next_bid = epoch lsl epoch_bits;
+      seen = Delivered.create ();
+      next_bid = Delivered.first_seq ~epoch;
       subscribers = [];
       delivered = 0;
     }

@@ -88,7 +88,6 @@ type t = {
   inc : (int, incoming) Hashtbl.t;
   mutable subscribers : (src:int -> Gc_net.Payload.t -> unit) list;
   mutable on_stuck : (dst:int -> age:float -> unit) option;
-  mutable accepted : int;
   loopback : Gc_net.Payload.t Queue.t; (* self-sends awaiting their 0-delay hop *)
 }
 
@@ -305,7 +304,6 @@ let create proc ?(epoch = 0) ?(rto = 50.0) ?(stuck_after = 10_000.0)
       inc = Hashtbl.create 16;
       subscribers = [];
       on_stuck = None;
-      accepted = 0;
       loopback = Queue.create ();
     }
   in
@@ -324,7 +322,6 @@ let create proc ?(epoch = 0) ?(rto = 50.0) ?(stuck_after = 10_000.0)
 
 let send t ?(size = 64) ~dst payload =
   if Process.alive t.proc then begin
-    t.accepted <- t.accepted + 1;
     Process.incr t.proc "rchannel.sends";
     if dst = Process.id t.proc then begin
       (* Local loopback: deliver through the event queue so that a broadcast
@@ -394,5 +391,3 @@ let unacked t ~dst =
   match Hashtbl.find_opt t.out dst with
   | None -> 0
   | Some o -> Window.length o.window
-
-let sent_count t = t.accepted

@@ -73,7 +73,3 @@ val forget : t -> int -> unit
 
 val unacked : t -> dst:int -> int
 (** Number of messages buffered for [dst] awaiting acknowledgement. *)
-
-val sent_count : t -> int
-(** Payload messages accepted by {!send} so far (excludes retransmissions and
-    acks; for accounting). *)

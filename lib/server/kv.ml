@@ -1,14 +1,14 @@
 module W = Gc_net.Wire
+module Delivered = Gc_kernel.Delivered_set
 
 type t = {
   table : (string, string) Hashtbl.t;
-  order_log : Buffer.t;
+  mutable order_head : string; (* MD5 chain over the ordered deliveries *)
   (* Exactly-once evidence: every applied (origin, opid).  Makes replay
      idempotent — recovery replays the local log and then installs a
      possibly-overlapping delta from a live peer, and both paths funnel
-     through [seen]/[apply].  Grows with the operation count, like
-     [order_log] (the digests need the full history anyway). *)
-  applied : (int * int, unit) Hashtbl.t;
+     through [apply]. *)
+  mutable applied : Delivered.t;
   (* XOR of MD5("origin.opid") over the applied-set: an incremental,
      order-independent fingerprint of exactly which operations have been
      applied.  Two replicas with equal counters and equal [applied_xor]
@@ -31,44 +31,48 @@ let xor_id_into acc ~origin ~opid =
 let create () =
   {
     table = Hashtbl.create 64;
-    order_log = Buffer.create 256;
-    applied = Hashtbl.create 64;
+    order_head = String.make 16 '\000';
+    applied = Delivered.create ();
     applied_xor = Bytes.make 16 '\000';
     ordered = 0;
     commuting = 0;
   }
 
 let get t key = Hashtbl.find_opt t.table key
-let seen t ~origin ~opid = Hashtbl.mem t.applied (origin, opid)
+let seen t ~origin ~opid = Delivered.mem t.applied (origin, opid)
 
 let apply t ~origin ~opid ~ordered op =
-  Hashtbl.replace t.applied (origin, opid) ();
-  xor_id_into t.applied_xor ~origin ~opid;
-  if ordered then begin
-    t.ordered <- t.ordered + 1;
-    Buffer.add_string t.order_log
-      (Printf.sprintf "%d.%d:%s;" origin opid (Proto.op_to_string op))
+  if not (Delivered.add t.applied (origin, opid)) then None
+  else begin
+    xor_id_into t.applied_xor ~origin ~opid;
+    if ordered then begin
+      t.ordered <- t.ordered + 1;
+      t.order_head <-
+        Digest.string
+          (Printf.sprintf "%s%d.%d:%s;" t.order_head origin opid
+             (Proto.op_to_string op))
+    end
+    else t.commuting <- t.commuting + 1;
+    match op with
+    | Proto.Put { key; value } ->
+        Hashtbl.replace t.table key value;
+        Some value
+    | Proto.Incr { key; delta } ->
+        let current =
+          match Hashtbl.find_opt t.table key with
+          | Some v -> ( match int_of_string_opt v with Some n -> n | None -> 0)
+          | None -> 0
+        in
+        let value = string_of_int (current + delta) in
+        Hashtbl.replace t.table key value;
+        Some value
   end
-  else t.commuting <- t.commuting + 1;
-  match op with
-  | Proto.Put { key; value } ->
-      Hashtbl.replace t.table key value;
-      value
-  | Proto.Incr { key; delta } ->
-      let current =
-        match Hashtbl.find_opt t.table key with
-        | Some v -> ( match int_of_string_opt v with Some n -> n | None -> 0)
-        | None -> 0
-      in
-      let value = string_of_int (current + delta) in
-      Hashtbl.replace t.table key value;
-      value
 
 let ordered_count t = t.ordered
 let commuting_count t = t.commuting
-let applied_count t = Hashtbl.length t.applied
+let applied_count t = Delivered.cardinal t.applied
 let applied_digest t = Bytes.to_string t.applied_xor
-let order_digest t = Digest.to_hex (Digest.string (Buffer.contents t.order_log))
+let order_digest t = Digest.to_hex t.order_head
 
 let state_digest t =
   let entries =
@@ -81,41 +85,39 @@ let dump t =
     (state_digest t) t.ordered t.commuting
 
 (* Snapshot serialisation: everything above, wire-encoded.  Both sides are
-   deterministic (sorted table / applied list) so equal states produce
+   deterministic (sorted table, compact applied-set) so equal states produce
    equal blobs. *)
 
 let to_blob t =
   let w = Buffer.create 1024 in
   W.varint w t.ordered;
   W.varint w t.commuting;
-  W.str w (Buffer.contents t.order_log);
+  W.str w t.order_head;
   let entries =
     List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.table [])
   in
   W.list w (fun w kv -> W.pair w W.str W.str kv) entries;
-  let ids =
-    List.sort compare (Hashtbl.fold (fun id () acc -> id :: acc) t.applied [])
-  in
-  W.list w (fun w id -> W.pair w W.varint W.varint id) ids;
+  Delivered.write w t.applied;
+  W.str w (Bytes.to_string t.applied_xor);
   Buffer.contents w
+
+let read_digest r =
+  let d = W.read_str r in
+  if String.length d <> 16 then raise W.Short;
+  d
 
 let restore t blob =
   let r = W.reader blob in
   let ordered = W.read_varint r in
   let commuting = W.read_varint r in
-  let order_log = W.read_str r in
+  let order_head = read_digest r in
   let entries = W.read_list r (fun r -> W.read_pair r W.read_str W.read_str) in
-  let ids = W.read_list r (fun r -> W.read_pair r W.read_varint W.read_varint) in
+  let applied = Delivered.read r in
+  let applied_xor = read_digest r in
   Hashtbl.reset t.table;
-  Hashtbl.reset t.applied;
-  Bytes.fill t.applied_xor 0 16 '\000';
-  Buffer.clear t.order_log;
-  t.ordered <- ordered;
-  t.commuting <- commuting;
-  Buffer.add_string t.order_log order_log;
   List.iter (fun (k, v) -> Hashtbl.replace t.table k v) entries;
-  List.iter
-    (fun (origin, opid) ->
-      Hashtbl.replace t.applied (origin, opid) ();
-      xor_id_into t.applied_xor ~origin ~opid)
-    ids
+  t.applied <- applied;
+  Bytes.blit_string applied_xor 0 t.applied_xor 0 16;
+  t.order_head <- order_head;
+  t.ordered <- ordered;
+  t.commuting <- commuting

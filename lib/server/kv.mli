@@ -2,23 +2,23 @@
     table whose [Put]s are totally ordered and whose [Incr]s commute.
 
     Besides the table it keeps the evidence the CI smoke test compares
-    across replicas: an append-only log of ordered deliveries (identical
-    on every replica iff the stack delivered the same total order) and
-    counters of applied operations. *)
+    across replicas: a hash chain over the ordered deliveries (identical
+    on every replica iff the stack delivered the same total order), the
+    applied-set and counters of applied operations. *)
 
 type t
 
 val create : unit -> t
 
-val apply : t -> origin:int -> opid:int -> ordered:bool -> Proto.op -> string
-(** Apply one delivered operation; returns a rendering of the new value
-    (the body of the originating client's reply).  Records [(origin, opid)]
-    in the applied-set — callers replaying a log or installing a delta must
-    consult {!seen} first to keep replay idempotent. *)
+val apply :
+  t -> origin:int -> opid:int -> ordered:bool -> Proto.op -> string option
+(** Apply one delivered operation, recording [(origin, opid)] in the
+    applied-set; returns a rendering of the new value (the body of the
+    originating client's reply), or [None] if it was already applied
+    (recovery replays the log, then a peer delta: overlap is expected). *)
 
 val seen : t -> origin:int -> opid:int -> bool
-(** Has [(origin, opid)] already been applied?  (Crash recovery replays the
-    local log and then a peer delta; overlap is expected and skipped.) *)
+(** Has [(origin, opid)] already been applied? *)
 
 val get : t -> string -> string option
 
@@ -38,8 +38,9 @@ val applied_digest : t -> string
     comparable cursor that delta state transfer verifies against. *)
 
 val order_digest : t -> string
-(** MD5 (hex) over the sequence of ordered deliveries
-    [(origin, opid, op)...], in delivery order. *)
+(** Hex head of the order chain: each ordered delivery [(origin, opid, op)]
+    replaces the head with MD5 of the old head plus the entry, so equal
+    heads mean equal delivery sequences. *)
 
 val state_digest : t -> string
 (** MD5 (hex) over the sorted key/value table — equal across replicas
@@ -50,10 +51,11 @@ val dump : t -> string
 (** One-line summary: both digests and both counters. *)
 
 val to_blob : t -> string
-(** Deterministic wire serialisation of the whole state — table, order log,
-    applied-set, counters — for the durable snapshot slot and for full
-    state transfer to joiners. *)
+(** Deterministic wire serialisation of the whole state — table, order
+    chain head, compact applied-set and its digest, counters — for the
+    durable snapshot slot and for full state transfer to joiners. *)
 
 val restore : t -> string -> unit
 (** Replace this state with a {!to_blob} image.
-    @raise Gc_net.Wire.Short on a truncated blob. *)
+    @raise Gc_net.Wire.Short on a truncated blob or one whose digests are
+    not 16 bytes. *)

@@ -40,11 +40,9 @@ let apply_entry ~kv ~metrics ~on_fresh entry =
   match op_of_entry entry with
   | None -> ()
   | Some (origin, opid, op, ordered) ->
-      if Kv.seen kv ~origin ~opid then
-        Gc_obs.Metrics.incr metrics "server.dup_ops_skipped"
-      else
-        let result = Kv.apply kv ~origin ~opid ~ordered op in
-        on_fresh ~entry ~origin ~opid ~result
+      match Kv.apply kv ~origin ~opid ~ordered op with
+      | None -> Gc_obs.Metrics.incr metrics "server.dup_ops_skipped"
+      | Some result -> on_fresh ~entry ~origin ~opid ~result
 
 (* Joiner state transfer, durable-log flavoured: a joiner that announces
    a log high-water mark within our retained window gets the log suffix

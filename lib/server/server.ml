@@ -67,7 +67,7 @@ let submit t conn ~rid op =
   (* Incarnation-scoped opids: the sequence restarts at 0 every boot, the
      incarnation never repeats, so (origin, opid) is unique across
      crashes. *)
-  let opid = (t.incarnation lsl 32) lor seq in
+  let opid = Gc_kernel.Delivered_set.first_seq ~epoch:t.incarnation + seq in
   Hashtbl.replace t.pending opid (conn, rid, now_ms t);
   let envelope = Proto.Sv_op { origin = t.id; opid; op } in
   if Proto.op_commutes op then Stack.rbcast t.stack envelope
@@ -172,43 +172,44 @@ let on_client_payload t conn payload =
 
 let on_delivery t ~origin:_ ~ordered payload =
   match payload with
-  | Proto.Sv_op { origin; opid; op = _ } when Kv.seen t.kv ~origin ~opid ->
-      (* Already applied during log replay or delta install — the live
-         delivery raced the state transfer.  Skip, don't double-apply. *)
-      Gc_obs.Metrics.incr t.metrics "server.dup_ops_skipped"
   | Proto.Sv_op { origin; opid; op } -> (
-      let result = Kv.apply t.kv ~origin ~opid ~ordered op in
-      Gc_obs.Metrics.incr t.metrics "server.applied";
-      (* Mid-fallback window: a full Sv_state image is on its way and its
-         restore will overwrite the KV wholesale.  This delivery is
-         already marked consumed by the stack's dedup sets, so park it for
-         a post-restore merge — dropping it here would lose it forever. *)
-      if !(t.awaiting_full) then
-        t.resync_buffer := (origin, opid, op, ordered) :: !(t.resync_buffer);
-      if origin = t.id then
-        match Hashtbl.find_opt t.pending opid with
-        | Some (conn, rid, submitted) ->
-            Hashtbl.remove t.pending opid;
-            (* Client-visible submit->deliver latency at the serving
-               replica, split by ordering primitive. *)
-            let lat = now_ms t -. submitted in
-            Gc_obs.Metrics.observe t.metrics "server.latency_ms" lat;
-            Gc_obs.Metrics.observe t.metrics
-              (if ordered then "server.latency_abcast_ms"
-               else "server.latency_rbcast_ms")
-              lat;
-            (* Acked-means-durable mode: the delivery was appended to the
-               log just before this callback ran, so one sync here makes
-               the acknowledged op crash-proof before the client hears
-               about it. *)
-            (if t.sync_replies then
-               match t.storage with
-               | Some store ->
-                   Storage.sync store;
-                   Gc_obs.Metrics.incr t.metrics "server.reply_syncs"
-               | None -> ());
-            reply conn ~rid ~ok:true result
-        | None -> ())
+      match Kv.apply t.kv ~origin ~opid ~ordered op with
+      | None ->
+          (* Already applied during log replay or delta install — the live
+             delivery raced the state transfer.  Skip, don't double-apply. *)
+          Gc_obs.Metrics.incr t.metrics "server.dup_ops_skipped"
+      | Some result ->
+          Gc_obs.Metrics.incr t.metrics "server.applied";
+          (* Mid-fallback window: a full Sv_state image is on its way and its
+             restore will overwrite the KV wholesale.  This delivery is
+             already marked consumed by the stack's dedup sets, so park it for
+             a post-restore merge — dropping it here would lose it forever. *)
+          if !(t.awaiting_full) then
+            t.resync_buffer := (origin, opid, op, ordered) :: !(t.resync_buffer);
+          if origin = t.id then
+            match Hashtbl.find_opt t.pending opid with
+            | Some (conn, rid, submitted) ->
+                Hashtbl.remove t.pending opid;
+                (* Client-visible submit->deliver latency at the serving
+                   replica, split by ordering primitive. *)
+                let lat = now_ms t -. submitted in
+                Gc_obs.Metrics.observe t.metrics "server.latency_ms" lat;
+                Gc_obs.Metrics.observe t.metrics
+                  (if ordered then "server.latency_abcast_ms"
+                   else "server.latency_rbcast_ms")
+                  lat;
+                (* Acked-means-durable mode: the delivery was appended to the
+                   log just before this callback ran, so one sync here makes
+                   the acknowledged op crash-proof before the client hears
+                   about it. *)
+                (if t.sync_replies then
+                   match t.storage with
+                   | Some store ->
+                       Storage.sync store;
+                       Gc_obs.Metrics.incr t.metrics "server.reply_syncs"
+                   | None -> ());
+                reply conn ~rid ~ok:true result
+            | None -> ())
   | _ -> Gc_obs.Metrics.incr t.metrics "server.bad_delivery"
 
 let accept_client t sock _addr =
@@ -323,10 +324,8 @@ let create ~loop ~id ~initial ?config ?metrics ?(log = ignore) ?join_via
         awaiting_full := false;
         List.iter
           (fun (origin, opid, op, ordered) ->
-            if not (Kv.seen kv ~origin ~opid) then begin
-              ignore (Kv.apply kv ~origin ~opid ~ordered op);
-              Gc_obs.Metrics.incr metrics "server.applied"
-            end)
+            if Kv.apply kv ~origin ~opid ~ordered op <> None then
+              Gc_obs.Metrics.incr metrics "server.applied")
           buffered;
         (* An installed state must be durable before we serve on top of
            it — otherwise a crash right after the join replays an empty

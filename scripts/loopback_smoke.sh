@@ -153,18 +153,21 @@ deltas=$("$CLIENT" stats --server "${CPORTS[0]}" --prom --timeout 10000 \
 [ -n "$deltas" ] && [ "$deltas" -ge 1 ] \
   || fail "sponsor served no delta transfer (delta_transfers=${deltas:-0})"
 
-# A post-recovery write through the reborn replica, then digests again.
+# A post-recovery write through the reborn replica, then the whole dump
+# line again: order chain, state digest, ordered and commuting counts.
+# The reborn replica rebuilt its applied-set and order chain from its
+# snapshot, its log and the sponsor's delta, so all four must match.
 "$CLIENT" incr --server "${CPORTS[2]}" hits 7 --timeout 10000 >/dev/null \
   || fail "incr via restarted node 2"
 sleep 2
-digests=()
+dumps=()
 for i in 0 1 2; do
   d=$("$CLIENT" dump --server "${CPORTS[$i]}" --timeout 10000) || fail "post-recovery dump via node $i"
   echo "replica $i (post-recovery): $d"
-  digests+=("$(echo "$d" | sed 's/ .*//')")
+  dumps+=("$d")
 done
-[ "${digests[0]}" = "${digests[1]}" ] || fail "post-recovery digests diverge (0 vs 1)"
-[ "${digests[0]}" = "${digests[2]}" ] || fail "post-recovery digests diverge (0 vs 2)"
+[ "${dumps[0]}" = "${dumps[1]}" ] || fail "post-recovery dumps diverge (0 vs 1)"
+[ "${dumps[0]}" = "${dumps[2]}" ] || fail "post-recovery dumps diverge (0 vs 2)"
 echo "crash recovery OK: node 2 rebooted from its log and reconverged (delta transfers: $deltas)"
 
 # Every server's telemetry time-series must exist, have accumulated

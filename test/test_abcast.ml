@@ -207,7 +207,7 @@ let test_bootstrap_purges_pending () =
   Ab.bootstrap abs.(2)
     ~next_instance:(Ab.next_instance abs.(0))
     ~members:(Ab.members abs.(0))
-    ~delivered:(Ab.delivered_ids abs.(0));
+    ~delivered:(Ab.delivered abs.(0));
   check_int "transferred ids purged from pending" 0 (Ab.pending_count abs.(2));
   set_drop 0.0;
   Ab.abcast abs.(1) (App 2);

@@ -3,7 +3,7 @@
    watermark-compacted delivered set. *)
 
 module Window = Gc_rchannel.Window
-module Delivered = Gc_abcast.Delivered_set
+module Delivered = Gc_kernel.Delivered_set
 open Support
 
 (* ---------- ring-buffer window ---------- *)
@@ -89,7 +89,6 @@ let test_delivered_contiguous_advance () =
   for mseq = 0 to 99 do
     check_bool "fresh add" true (Delivered.add d (7, mseq))
   done;
-  check_int "watermark swallowed everything" 100 (Delivered.watermark d ~origin:7);
   check_int "no overflow" 0 (Delivered.overflow_size d);
   check_int "cardinal" 100 (Delivered.cardinal d);
   check_bool "mem below watermark" true (Delivered.mem d (7, 42));
@@ -103,7 +102,6 @@ let test_delivered_sparse_overflow () =
   for k = 0 to 4 do
     check_bool "sparse add" true (Delivered.add d (1, 2 * k))
   done;
-  check_int "watermark counts only the prefix" 1 (Delivered.watermark d ~origin:1);
   check_int "overflow holds the gaps" 4 (Delivered.overflow_size d);
   check_bool "overflowed id is a member" true (Delivered.mem d (1, 6));
   check_bool "gap is not" false (Delivered.mem d (1, 5));
@@ -111,11 +109,10 @@ let test_delivered_sparse_overflow () =
   for k = 0 to 3 do
     check_bool "gap fill" true (Delivered.add d (1, (2 * k) + 1))
   done;
-  check_int "watermark absorbed overflow" 9 (Delivered.watermark d ~origin:1);
   check_int "overflow drained" 0 (Delivered.overflow_size d);
   check_int "cardinal" 9 (Delivered.cardinal d)
 
-let test_delivered_ids_equivalence () =
+let test_delivered_equivalence () =
   (* Equivalence with the old flat representation over a mixed-order,
      multi-origin, duplicate-laden insertion sequence. *)
   let d = Delivered.create () in
@@ -132,32 +129,78 @@ let test_delivered_ids_equivalence () =
       if fresh_naive then naive := id :: !naive;
       check_bool "add agrees with naive" fresh_naive (Delivered.add d id))
     inserts;
-  let expected = List.sort_uniq Stdlib.compare !naive in
-  Alcotest.(check (list (pair int int))) "ids equals flat set" expected
-    (Delivered.ids d);
-  check_int "cardinal agrees" (List.length expected) (Delivered.cardinal d);
-  List.iter
-    (fun id ->
-      check_bool "mem agrees with naive" (naive_mem !naive id)
-        (Delivered.mem d id))
-    [ (0, 0); (0, 3); (1, 3); (1, 4); (2, 4); (2, 5); (3, 0) ]
+  check_int "cardinal agrees" (List.length (List.sort_uniq compare !naive))
+    (Delivered.cardinal d);
+  for origin = 0 to 3 do
+    for mseq = 0 to 5 do
+      check_bool "mem agrees with naive" (naive_mem !naive (origin, mseq))
+        (Delivered.mem d (origin, mseq))
+    done
+  done
+
+let test_delivered_restart_compacts () =
+  (* A restarted origin numbers from its epoch's first id: each epoch is a
+     stream of its own, so every epoch's prefix compacts to a watermark. *)
+  let d = Delivered.create () in
+  for epoch = 0 to 2 do
+    for k = 0 to 99 do
+      ignore (Delivered.add d (4, Delivered.first_seq ~epoch + k))
+    done
+  done;
+  check_int "cardinal" 300 (Delivered.cardinal d);
+  check_int "no overflow" 0 (Delivered.overflow_size d);
+  check_bool "epoch 1 member" true
+    (Delivered.mem d (4, Delivered.first_seq ~epoch:1 + 99));
+  check_bool "epoch 1 beyond prefix" false
+    (Delivered.mem d (4, Delivered.first_seq ~epoch:1 + 100))
 
 let prop_delivered_matches_naive =
   QCheck.Test.make ~name:"delivered set behaves as a plain set of ids"
     ~count:200
-    QCheck.(small_list (pair (int_bound 3) (int_bound 12)))
-    (fun inserts ->
-      let d = Delivered.create () in
-      let naive = ref [] in
-      List.iter
-        (fun id ->
-          let fresh = not (naive_mem !naive id) in
-          if fresh then naive := id :: !naive;
-          if Delivered.add d id <> fresh then QCheck.Test.fail_report "add";
-          if Delivered.cardinal d <> List.length !naive then
-            QCheck.Test.fail_report "cardinal")
-        inserts;
-      Delivered.ids d = List.sort_uniq Stdlib.compare !naive)
+    QCheck.(
+      pair
+        (small_list (triple (int_bound 3) (int_bound 2) (int_bound 12)))
+        (small_list (triple (int_bound 3) (int_bound 2) (int_bound 12))))
+    (fun (xs, ys) ->
+      let id (origin, epoch, k) = (origin, Delivered.first_seq ~epoch + k) in
+      let build ids =
+        let d = Delivered.create () in
+        let naive = ref [] in
+        List.iter
+          (fun id ->
+            let fresh = not (naive_mem !naive id) in
+            if fresh then naive := id :: !naive;
+            if Delivered.add d id <> fresh then QCheck.Test.fail_report "add";
+            if Delivered.cardinal d <> List.length !naive then
+              QCheck.Test.fail_report "cardinal")
+          ids;
+        (d, !naive)
+      in
+      let xs = List.map id xs and ys = List.map id ys in
+      let dx, nx = build xs and dy, ny = build ys in
+      let grid =
+        List.concat_map
+          (fun o ->
+            List.concat_map (fun e -> List.init 14 (fun k -> id (o, e, k))) [ 0; 1; 2 ])
+          [ 0; 1; 2; 3 ]
+      in
+      let agrees d naive =
+        Delivered.cardinal d = List.length naive
+        && List.for_all (fun id -> Delivered.mem d id = naive_mem naive id) grid
+      in
+      let encode d =
+        let w = Buffer.create 64 in
+        Delivered.write w d;
+        Buffer.contents w
+      in
+      let rt = Delivered.read (Gc_net.Wire.reader (encode dx)) in
+      let u = Delivered.copy dx in
+      Delivered.union_into ~into:u dy;
+      (* [u] is a copy, so the union leaves [dx] untouched; equal sets
+         built in another order encode to the same bytes. *)
+      agrees dx nx && agrees rt nx
+      && encode rt = encode (fst (build (List.rev xs)))
+      && agrees u (List.sort_uniq compare (nx @ ny)))
 
 let suite =
   [
@@ -172,7 +215,9 @@ let suite =
         Alcotest.test_case "delivered sparse overflow" `Quick
           test_delivered_sparse_overflow;
         Alcotest.test_case "delivered ids equivalence" `Quick
-          test_delivered_ids_equivalence;
+          test_delivered_equivalence;
+        Alcotest.test_case "delivered set: restart compacts" `Quick
+          test_delivered_restart_compacts;
         QCheck_alcotest.to_alcotest prop_delivered_matches_naive;
       ] );
   ]

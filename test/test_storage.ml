@@ -218,7 +218,36 @@ let test_kv_blob_roundtrip () =
   Alcotest.(check bool) "unseen stays unseen" false (Kv.seen kv' ~origin:1 ~opid:8);
   Alcotest.(check bool)
     "blob is deterministic" true
-    (Kv.to_blob kv = Kv.to_blob kv')
+    (Kv.to_blob kv = Kv.to_blob kv');
+  (* 10k applies from one origin over two incarnations, a quarter of them
+     ordered puts over 8 keys: the image holds the table, the digests and
+     one watermark per (origin, incarnation), not the history. *)
+  let kv = Kv.create () in
+  for i = 0 to 9_999 do
+    let opid =
+      Gc_kernel.Delivered_set.first_seq ~epoch:(i / 5_000) + (i mod 5_000)
+    in
+    let key = string_of_int (i mod 8) in
+    let op, ordered =
+      if i mod 4 = 0 then (Proto.Put { key; value = string_of_int i }, true)
+      else (Proto.Incr { key = "n" ^ key; delta = 1 }, false)
+    in
+    ignore (Kv.apply kv ~origin:2 ~opid ~ordered op)
+  done;
+  let blob = Kv.to_blob kv in
+  Alcotest.(check bool)
+    (Printf.sprintf "blob under 1 KiB (%d B)" (String.length blob))
+    true
+    (String.length blob < 1024);
+  let kv' = Kv.create () in
+  Kv.restore kv' blob;
+  check_int "applied count" 10_000 (Kv.applied_count kv');
+  Alcotest.(check string) "applied digest" (Kv.applied_digest kv) (Kv.applied_digest kv');
+  Alcotest.(check string) "order digest" (Kv.order_digest kv) (Kv.order_digest kv');
+  Alcotest.(check string) "state digest" (Kv.state_digest kv) (Kv.state_digest kv');
+  Alcotest.(check (option string)) "re-apply is a duplicate" None
+    (Kv.apply kv' ~origin:2 ~opid:17 ~ordered:false
+       (Proto.Incr { key = "n1"; delta = 1 }))
 
 (* ---------- stack wiring: log-before-deliver and shutdown flush ---------- *)
 

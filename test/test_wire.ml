@@ -70,7 +70,7 @@ let test_codec_roundtrip () =
   | Proto.Cl_put { rid = 7; key = "k"; value = "v" } -> ()
   | p -> Alcotest.failf "wrong payload back: %s" (Payload.to_string p));
   (* Nested extension constructors recurse through the registry. *)
-  match
+  (match
     roundtrip
       (Ru.Datagram
          { src = 3; inner = Proto.Sv_op { origin = 1; opid = 42;
@@ -79,7 +79,32 @@ let test_codec_roundtrip () =
   | Ru.Datagram
       { src = 3; inner = Proto.Sv_op { origin = 1; opid = 42;
           op = Proto.Incr { key = "hits"; delta = -5 } } } -> ()
-  | p -> Alcotest.failf "wrong nested payload: %s" (Payload.to_string p)
+  | p -> Alcotest.failf "wrong nested payload: %s" (Payload.to_string p));
+  (* The state-transfer snapshot ships its delivered sets in compact form:
+     a restarted origin's epoch-1 stream, a gap and a straggler survive. *)
+  let module D = Gc_kernel.Delivered_set in
+  let ab = D.create () and gb = D.create () in
+  List.iter
+    (fun id -> ignore (D.add ab id))
+    [ (0, 0); (0, 1); (0, 5); (1, D.first_seq ~epoch:1); (2, 3) ];
+  ignore (D.add gb (1, 0));
+  match
+    roundtrip
+      (Gcs.Gcs_stack.Gcs_snapshot
+         { next_instance = 4; ab_delivered = ab; gb_stage = 2;
+           gb_delivered = gb; app = None })
+  with
+  | Gcs.Gcs_stack.Gcs_snapshot
+      { next_instance = 4; ab_delivered; gb_stage = 2; gb_delivered; app = None }
+    ->
+      List.iter
+        (fun id ->
+          check_bool "ab member" (D.mem ab id) (D.mem ab_delivered id);
+          check_bool "gb member" (D.mem gb id) (D.mem gb_delivered id))
+        [ (0, 1); (0, 2); (0, 5); (1, 0); (1, D.first_seq ~epoch:1); (2, 3) ];
+      check_int "ab cardinal" 5 (D.cardinal ab_delivered);
+      check_int "gb cardinal" 1 (D.cardinal gb_delivered)
+  | p -> Alcotest.failf "wrong snapshot back: %s" (Payload.to_string p)
 
 let test_codec_errors () =
   (match Payload.encode (Unregistered 3) with
