@@ -207,14 +207,14 @@ let create runtime ?metrics ~id ~initial ?(config = default_config)
   let ab_ref = ref ab and gb_ref = ref gb in
   (* Copies: the simulator hands payloads over by reference, so a live set
      would show the joiner ids delivered here after the snapshot. *)
-  let state_provider ~have =
+  let state_provider () =
     Gcs_snapshot
       {
         next_instance = Ab.next_instance !ab_ref;
         ab_delivered = Gc_kernel.Delivered_set.copy (Ab.delivered !ab_ref);
         gb_stage = Gb.stage !gb_ref;
         gb_delivered = Gc_kernel.Delivered_set.copy (Gb.delivered !gb_ref);
-        app = Option.map (fun f -> f ~have) app_state_provider;
+        app = Option.map (fun f -> f ()) app_state_provider;
       }
   in
   let state_installer snapshot =
@@ -300,7 +300,7 @@ let rbcast t ?size body =
 
 let on_deliver t f = t.subscribers <- f :: t.subscribers
 
-let join ?force ?have t ~via = Gm.join ?force ?have t.membership ~via
+let join ?force t ~via = Gm.join ?force t.membership ~via
 let add t p = Gm.add t.membership p
 let remove t q = Gm.remove t.membership q
 let join_remove_list t ~adds ~removes = Gm.join_remove_list t.membership ~adds ~removes

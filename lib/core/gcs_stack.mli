@@ -138,7 +138,7 @@ val create :
   id:int ->
   initial:int list ->
   ?config:config ->
-  ?app_state_provider:(have:int -> Gc_net.Payload.t) ->
+  ?app_state_provider:(unit -> Gc_net.Payload.t) ->
   ?app_state_installer:(Gc_net.Payload.t -> unit) ->
   ?storage:Gc_kernel.Storage.t ->
   ?boot_epoch:int ->
@@ -147,12 +147,11 @@ val create :
 (** Build the stack for node [id].  [initial] is the founding view: a
     founding member lists itself in [initial]; a process joining later passes
     the current membership (without itself) and calls {!join}.  The app state
-    hooks serialise/install application state for joiner state transfer;
-    the provider receives the joiner's announced durable-log high-water
-    mark ([have], -1 when it has none) so it can ship a delta instead of the
-    full state.  [storage], when given, is the durable delivery log: generic
-    broadcast (the delivery surface for every application message) appends
-    one record per delivery, write-ahead of the application callbacks.
+    hooks serialise/install application state for joiner state transfer,
+    as in the traditional and Totem stacks.  [storage], when given, is the
+    durable delivery log: generic broadcast (the delivery surface for every
+    application message) appends one record per delivery, write-ahead of
+    the application callbacks.
     [boot_epoch] (default 0) is this boot's incarnation number: a process
     restarting after a crash must pass a strictly larger value than its
     previous boot.  It scopes every identifier the stack mints — reliable
@@ -181,11 +180,9 @@ val on_deliver :
 
 (** {1 Membership} *)
 
-val join : ?force:bool -> ?have:int -> t -> via:int -> unit
+val join : ?force:bool -> t -> via:int -> unit
 (** Ask [via] to sponsor this process into the group; [force] rejoins even if
-    this process still believes it is a member (post-partition recovery).
-    [have] (default -1) announces this process's durable-log high-water mark
-    to the sponsor's state provider, enabling delta state transfer. *)
+    this process still believes it is a member (post-partition recovery). *)
 
 val add : t -> int -> unit
 val remove : t -> int -> unit

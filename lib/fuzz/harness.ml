@@ -160,13 +160,7 @@ let run ?(casts = 12) ?(inject_reorder = false) ~stack script =
             if p <> node && Netsim.alive net p then via := Some p
           done;
           match !via with
-          | Some v ->
-              let have =
-                match storage_for node with
-                | Some st -> snd (Gc_kernel.Storage.extent st)
-                | None -> -1
-              in
-              Stack.join s ~force:true ~have ~via:v
+          | Some v -> Stack.join s ~force:true ~via:v
           | None -> ()
         in
         ( (fun i k ->

@@ -363,7 +363,7 @@ let metrics =
     (* wire transport (framing + TCP backend + simulated net) *)
     c "net.frames_in"; c "net.frames_out"; c "net.bytes_in";
     c "net.bytes_out"; c "net.writes"; c "net.frame_reject"; c "net.reconnects";
-    c "net.tx_drop"; c "net.dropped_gone"; c "net.dropped_policy";
+    c "net.tx_drop"; c "net.tx_oversize"; c "net.dropped_gone"; c "net.dropped_policy";
     c "net.duplicated";
     (* durable delivery log (Storage seam + file backend) *)
     c "storage.appends"; c "storage.syncs"; c "storage.snapshots";
@@ -374,8 +374,7 @@ let metrics =
     c "server.client_accepts"; c "server.health_requests";
     c "server.stats_requests"; h "server.latency_ms";
     h "server.latency_abcast_ms"; h "server.latency_rbcast_ms";
-    c "server.delta_transfers"; c "server.full_transfers";
-    c "server.delta_rejected"; c "server.reply_syncs";
+    c "server.full_transfers"; c "server.reply_syncs";
     c "server.recovered_ops"; c "server.dup_ops_skipped";
     h "server.recovery_ms";
   ]

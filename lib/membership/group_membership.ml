@@ -7,16 +7,13 @@ type transport = {
 }
 
 type Gc_net.Payload.t +=
-  | Mb_join_req of { p : int; have : int }
-        (* [have]: the joiner's durable-log high-water mark (next index), or
-           -1 when it has no log — lets the sponsor serve a delta instead of
-           a full state transfer after a crash-restart *)
+  | Mb_join_req of { p : int }
   | Mb_change of { adds : int list; removes : int list; sponsor : int }
   | Mb_state of { view : View.t; snapshot : Gc_net.Payload.t option }
 
 let () =
   Gc_net.Payload.register_printer (function
-    | Mb_join_req { p; _ } -> Some (Printf.sprintf "mb.join_req(%d)" p)
+    | Mb_join_req { p } -> Some (Printf.sprintf "mb.join_req(%d)" p)
     | Mb_change { adds; removes; _ } ->
         Some
           (Printf.sprintf "mb.change(+%d,-%d)" (List.length adds)
@@ -30,10 +27,9 @@ let () =
   Gc_net.Payload.register_codec ~tag:"mb"
     ~encode:(fun enc w p ->
       match p with
-      | Mb_join_req { p; have } ->
+      | Mb_join_req { p } ->
           W.u8 w 0;
           W.varint w p;
-          W.varint w have;
           true
       | Mb_change { adds; removes; sponsor } ->
           W.u8 w 1;
@@ -51,9 +47,7 @@ let () =
     ~decode:(fun dec r ->
       match W.read_u8 r with
       | 0 ->
-          let p = W.read_varint r in
-          let have = W.read_varint r in
-          Mb_join_req { p; have }
+          Mb_join_req { p = W.read_varint r }
       | 1 ->
           let adds = W.read_list r W.read_varint in
           let removes = W.read_list r W.read_varint in
@@ -71,11 +65,8 @@ type t = {
   rc : Rc.t;
   transport : transport;
   state_transfer_delay : float;
-  state_provider : (have:int -> Gc_net.Payload.t) option;
+  state_provider : (unit -> Gc_net.Payload.t) option;
   state_installer : (Gc_net.Payload.t -> unit) option;
-  (* joiner id -> the [have] it announced, consumed when the sponsor ships
-     the snapshot (the view change rides the total order in between) *)
-  joiner_have : (int, int) Hashtbl.t;
   mutable current : View.t;
   mutable joined : bool;
   mutable left : bool;
@@ -132,21 +123,12 @@ let handle_change t ~adds ~removes ~sponsor =
     if sponsor = me t && t.joined && not t.left then
       List.iter
         (fun p ->
-          let have =
-            match Hashtbl.find_opt t.joiner_have p with
-            | Some h ->
-                Hashtbl.remove t.joiner_have p;
-                h
-            | None -> -1
-          in
           ignore
             (Process.timer t.proc ~delay:t.state_transfer_delay (fun () ->
                  (* Snapshot and view are captured together, at send time, so
                     the joiner resumes from a consistent point of the total
                     order. *)
-                 let snapshot =
-                   Option.map (fun f -> f ~have) t.state_provider
-                 in
+                 let snapshot = Option.map (fun f -> f ()) t.state_provider in
                  Rc.send t.rc ~size:4096 ~dst:p
                    (Mb_state { view = t.current; snapshot }))))
         adds
@@ -162,7 +144,6 @@ let create proc ~rc ~transport ?(state_transfer_delay = 0.0) ?state_provider
       state_transfer_delay;
       state_provider;
       state_installer;
-      joiner_have = Hashtbl.create 4;
       current = initial;
       joined = View.mem initial (Process.id proc);
       left = false;
@@ -189,14 +170,12 @@ let create proc ~rc ~transport ?(state_transfer_delay = 0.0) ?state_provider
       | _ -> ());
   Rc.on_deliver rc (fun ~src:_ payload ->
       match payload with
-      | Mb_join_req { p; have } ->
+      | Mb_join_req { p } ->
           (* Sponsor side: only members broadcast the change. *)
           if t.joined && not t.left then
-            if not (View.mem t.current p) then begin
-              Hashtbl.replace t.joiner_have p have;
+            if not (View.mem t.current p) then
               t.transport.broadcast
                 (Mb_change { adds = [ p ]; removes = []; sponsor = me t })
-            end
             else if p <> me t then begin
               (* [p] is still in the view: it crashed and restarted before
                  monitoring excluded it.  No view change is needed — resync
@@ -206,9 +185,7 @@ let create proc ~rc ~transport ?(state_transfer_delay = 0.0) ?state_provider
               Process.incr t.proc "membership.resyncs";
               ignore
                 (Process.timer t.proc ~delay:t.state_transfer_delay (fun () ->
-                     let snapshot =
-                       Option.map (fun f -> f ~have) t.state_provider
-                     in
+                     let snapshot = Option.map (fun f -> f ()) t.state_provider in
                      Rc.send t.rc ~size:4096 ~dst:p
                        (Mb_state { view = t.current; snapshot })))
             end
@@ -229,7 +206,7 @@ let create proc ~rc ~transport ?(state_transfer_delay = 0.0) ?state_provider
       | _ -> ());
   t
 
-let join ?(force = false) ?(have = -1) t ~via =
+let join ?(force = false) t ~via =
   (* A process excluded earlier may rejoin: it re-enters the joiner path and
      waits for a fresh state transfer.  [force] covers the process that
      cannot know it was excluded (e.g. it sat in a minority partition and the
@@ -241,7 +218,7 @@ let join ?(force = false) ?(have = -1) t ~via =
   if not t.joined then begin
     if t.join_requested_at = None then
       t.join_requested_at <- Some (Process.now t.proc);
-    Rc.send t.rc ~size:32 ~dst:via (Mb_join_req { p = me t; have })
+    Rc.send t.rc ~size:32 ~dst:via (Mb_join_req { p = me t })
   end
 
 let add t p =

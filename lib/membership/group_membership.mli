@@ -34,7 +34,7 @@ val create :
   rc:Gc_rchannel.Reliable_channel.t ->
   transport:transport ->
   ?state_transfer_delay:float ->
-  ?state_provider:(have:int -> Gc_net.Payload.t) ->
+  ?state_provider:(unit -> Gc_net.Payload.t) ->
   ?state_installer:(Gc_net.Payload.t -> unit) ->
   initial:View.t ->
   unit ->
@@ -44,21 +44,19 @@ val create :
 
     [state_provider]/[state_installer] serialise and install the snapshot
     shipped to joiners (the stack packs broadcast bookkeeping and application
-    state in it).  [have] is the joiner's announced durable-log high-water
-    mark (-1 when it has none): a provider backed by a delivery log can ship
-    only the suffix the joiner is missing instead of the full state.
+    state in it); the provider runs at send time, so snapshot and view are
+    captured at the same point of the total order.
     [state_transfer_delay] (default 0) models snapshot serialisation time —
     the knob the responsiveness experiments turn, since this is the cost
     wrongly excluded processes pay in traditional stacks. *)
 
-val join : ?force:bool -> ?have:int -> t -> via:int -> unit
+val join : ?force:bool -> t -> via:int -> unit
 (** Ask member [via] to sponsor us into the group.  On completion the view
     (including us) is installed and {!joined} becomes true.  Retry with a
     different sponsor if nothing happens (sponsor crash).  [force] (default
     false) demotes this process to joiner first — for a process that may
     have been excluded without learning it (e.g. after a partition, when the
-    members' reliable channels to it lapsed).  [have] (default -1 = none) is
-    forwarded to the sponsor's [state_provider].
+    members' reliable channels to it lapsed).
 
     A join request from a process still present in [via]'s current view does
     not broadcast a view change: the sponsor resyncs the (evidently

@@ -45,7 +45,7 @@ let create runtime ~id ~initial ?config ~make_sm () =
     | _ -> ()
   in
   let stack =
-    Stack.create runtime ~id ~initial ?config ~app_state_provider:(fun ~have:_ -> provider ())
+    Stack.create runtime ~id ~initial ?config ~app_state_provider:provider
       ~app_state_installer:installer ()
   in
   let t = { stack; sm; completed; applied = 0 } in

@@ -177,7 +177,7 @@ let create runtime ~id ~initial ?config ?(primary_suspect_timeout = 250.0)
     | _ -> ()
   in
   let stack =
-    Stack.create runtime ~id ~initial ?config ~app_state_provider:(fun ~have:_ -> provider ())
+    Stack.create runtime ~id ~initial ?config ~app_state_provider:provider
       ~app_state_installer:installer ()
   in
   let t =

@@ -151,7 +151,12 @@ let reserve t len =
    semantics, the reliable channel above retransmits — and counted. *)
 let send t payload =
   if not t.is_closed then
-    match Frame.encode_body t.body payload with
+    match Frame.encode_body ~limit:(out_cap - 4) t.body payload with
+    | Error (Frame.Oversized _) ->
+        (* No flush can make room for a frame larger than the cap itself. *)
+        Buffer.reset t.body;
+        count t "net.tx_oversize" 1;
+        count t "net.tx_drop" 1
     | Error _ -> count t "net.tx_drop" 1
     | Ok len ->
         (* Past the cap, flush now: the frame is dropped only if it still

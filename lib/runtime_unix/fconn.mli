@@ -33,9 +33,11 @@ val send : t -> Gc_net.Payload.t -> unit
 (** Frame and enqueue one payload; it is written before the loop next
     blocks.  A frame that would take the unwritten output past the
     256 KiB cap triggers an immediate flush first, and is dropped only if
-    it still does not fit.  Such frames and unencodable or oversized
-    payloads are dropped — datagram semantics; the reliable-channel layer
-    above retransmits — and counted as [net.tx_drop]. *)
+    it still does not fit.  Such frames and unencodable payloads are
+    dropped — datagram semantics; the reliable-channel layer above
+    retransmits — and counted as [net.tx_drop].  A frame longer than the
+    cap itself can never be sent: it is dropped at once and counted as
+    [net.tx_oversize] as well. *)
 
 val close : t -> unit
 (** Idempotent; fires [on_close].  Queued frames are written first, as far
@@ -59,7 +61,7 @@ val stats : t -> stats
     [?metrics], the same quantities also accumulate into the shared
     registry as [net.bytes_in]/[net.bytes_out]/[net.frames_in]/
     [net.frames_out], alongside [net.writes] ([write(2)] calls that moved
-    bytes) and [net.tx_drop]. *)
+    bytes), [net.tx_drop] and [net.tx_oversize]. *)
 
 val listen :
   loop:Evloop.t ->

@@ -5,35 +5,19 @@ type t = {
   table : (string, string) Hashtbl.t;
   mutable order_head : string; (* MD5 chain over the ordered deliveries *)
   (* Exactly-once evidence: every applied (origin, opid).  Makes replay
-     idempotent — recovery replays the local log and then installs a
-     possibly-overlapping delta from a live peer, and both paths funnel
-     through [apply]. *)
+     idempotent — boot replays the log suffix over a snapshot that may
+     already cover part of it, and live deliveries may race a restored
+     image; every path funnels through [apply]. *)
   mutable applied : Delivered.t;
-  (* XOR of MD5("origin.opid") over the applied-set: an incremental,
-     order-independent fingerprint of exactly which operations have been
-     applied.  Two replicas with equal counters and equal [applied_xor]
-     hold the same applied-set (w.h.p.), however their commuting
-     deliveries interleaved — the check that makes delta state transfer
-     safe to fall back from. *)
-  applied_xor : Bytes.t;
   mutable ordered : int;
   mutable commuting : int;
 }
-
-let xor_id_into acc ~origin ~opid =
-  let d = Digest.string (Printf.sprintf "%d.%d" origin opid) in
-  for i = 0 to 15 do
-    Bytes.unsafe_set acc i
-      (Char.chr
-         (Char.code (Bytes.unsafe_get acc i) lxor Char.code (String.unsafe_get d i)))
-  done
 
 let create () =
   {
     table = Hashtbl.create 64;
     order_head = String.make 16 '\000';
     applied = Delivered.create ();
-    applied_xor = Bytes.make 16 '\000';
     ordered = 0;
     commuting = 0;
   }
@@ -44,7 +28,6 @@ let seen t ~origin ~opid = Delivered.mem t.applied (origin, opid)
 let apply t ~origin ~opid ~ordered op =
   if not (Delivered.add t.applied (origin, opid)) then None
   else begin
-    xor_id_into t.applied_xor ~origin ~opid;
     if ordered then begin
       t.ordered <- t.ordered + 1;
       t.order_head <-
@@ -71,7 +54,6 @@ let apply t ~origin ~opid ~ordered op =
 let ordered_count t = t.ordered
 let commuting_count t = t.commuting
 let applied_count t = Delivered.cardinal t.applied
-let applied_digest t = Bytes.to_string t.applied_xor
 let order_digest t = Digest.to_hex t.order_head
 
 let state_digest t =
@@ -98,26 +80,19 @@ let to_blob t =
   in
   W.list w (fun w kv -> W.pair w W.str W.str kv) entries;
   Delivered.write w t.applied;
-  W.str w (Bytes.to_string t.applied_xor);
   Buffer.contents w
-
-let read_digest r =
-  let d = W.read_str r in
-  if String.length d <> 16 then raise W.Short;
-  d
 
 let restore t blob =
   let r = W.reader blob in
   let ordered = W.read_varint r in
   let commuting = W.read_varint r in
-  let order_head = read_digest r in
+  let order_head = W.read_str r in
+  if String.length order_head <> 16 then raise W.Short;
   let entries = W.read_list r (fun r -> W.read_pair r W.read_str W.read_str) in
   let applied = Delivered.read r in
-  let applied_xor = read_digest r in
   Hashtbl.reset t.table;
   List.iter (fun (k, v) -> Hashtbl.replace t.table k v) entries;
   t.applied <- applied;
-  Bytes.blit_string applied_xor 0 t.applied_xor 0 16;
   t.order_head <- order_head;
   t.ordered <- ordered;
   t.commuting <- commuting

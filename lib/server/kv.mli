@@ -15,7 +15,8 @@ val apply :
 (** Apply one delivered operation, recording [(origin, opid)] in the
     applied-set; returns a rendering of the new value (the body of the
     originating client's reply), or [None] if it was already applied
-    (recovery replays the log, then a peer delta: overlap is expected). *)
+    (boot replays the log over a snapshot that may already cover part of
+    it: overlap is expected). *)
 
 val seen : t -> origin:int -> opid:int -> bool
 (** Has [(origin, opid)] already been applied? *)
@@ -28,14 +29,6 @@ val commuting_count : t -> int
 val applied_count : t -> int
 (** Size of the applied-set — the number of distinct operations ever
     applied, ordered and commuting alike. *)
-
-val applied_digest : t -> string
-(** 16 raw bytes: the XOR of MD5 over every applied [(origin, opid)] id.
-    Order-independent — two replicas that applied the same {e set} of
-    operations report the same digest regardless of how their commuting
-    deliveries interleaved, and (with [applied_count]) unequal sets
-    collide only with negligible probability.  This is the cross-replica
-    comparable cursor that delta state transfer verifies against. *)
 
 val order_digest : t -> string
 (** Hex head of the order chain: each ordered delivery [(origin, opid, op)]
@@ -52,10 +45,12 @@ val dump : t -> string
 
 val to_blob : t -> string
 (** Deterministic wire serialisation of the whole state — table, order
-    chain head, compact applied-set and its digest, counters — for the
-    durable snapshot slot and for full state transfer to joiners. *)
+    chain head, compact applied-set, counters — for the durable snapshot
+    slot and for state transfer to joiners.  Its size follows the key
+    space and the number of (origin, incarnation) streams, not the
+    history. *)
 
 val restore : t -> string -> unit
 (** Replace this state with a {!to_blob} image.
-    @raise Gc_net.Wire.Short on a truncated blob or one whose digests are
-    not 16 bytes. *)
+    @raise Gc_net.Wire.Short on a truncated blob or one whose order-chain
+    head is not 16 bytes; [t] is left untouched. *)

@@ -24,20 +24,6 @@ type Payload.t +=
   | Cl_health of { rid : int }
   | Sv_state of { blob : string }
         (* full application state for a joiner: a [Kv.to_blob] image *)
-  | Sv_delta of {
-      from : int;
-      entries : string list;
-      applied : int;
-      digest : string;
-    }
-        (* log-suffix state transfer: [Storage.Record]-encoded entries from
-           the sponsor's delivery-log index [from]; the joiner applies them
-           through its applied-set, so overlap with its replayed prefix is
-           skipped.  [applied]/[digest] are the sponsor's applied-set
-           cardinality and XOR digest at capture time: after installing the
-           delta the joiner must match both, else the delta missed
-           operations (log indices are not comparable across replicas for
-           commuting traffic) and it falls back to a full transfer. *)
 
 let () =
   Payload.register_printer (function
@@ -59,10 +45,6 @@ let () =
              | Stats_prometheus -> "prom"))
     | Cl_health { rid } -> Some (Printf.sprintf "cl_health#%d" rid)
     | Sv_state { blob } -> Some (Printf.sprintf "sv_state(%dB)" (String.length blob))
-    | Sv_delta { from; entries; applied; _ } ->
-        Some
-          (Printf.sprintf "sv_delta(@%d,%d entries,applied=%d)" from
-             (List.length entries) applied)
     | _ -> None)
 
 let write_op w = function
@@ -137,13 +119,6 @@ let () =
           W.u8 w 8;
           W.str w blob;
           true
-      | Sv_delta { from; entries; applied; digest } ->
-          W.u8 w 9;
-          W.varint w from;
-          W.list w W.str entries;
-          W.varint w applied;
-          W.str w digest;
-          true
       | _ -> false)
     ~decode:(fun _dec r ->
       match W.read_u8 r with
@@ -189,12 +164,6 @@ let () =
           let rid = W.read_varint r in
           Cl_health { rid }
       | 8 -> Sv_state { blob = W.read_str r }
-      | 9 ->
-          let from = W.read_varint r in
-          let entries = W.read_list r W.read_str in
-          let applied = W.read_varint r in
-          let digest = W.read_str r in
-          Sv_delta { from; entries; applied; digest }
       | k ->
           Payload.malformed
             (Printf.sprintf "proto: bad constructor discriminator %d" k))

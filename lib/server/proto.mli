@@ -41,27 +41,6 @@ type Gc_net.Payload.t +=
       (** Admin: one-line liveness summary (view, joined/alive flags,
           client count, uptime) — cheap enough for tight poll loops. *)
   | Sv_state of { blob : string }
-      (** Full application state for a joiner: a {!Kv.to_blob} image,
-          carried inside the membership snapshot. *)
-  | Sv_delta of {
-      from : int;
-      entries : string list;
-      applied : int;
-      digest : string;
-    }
-      (** Log-suffix state transfer for a crash-recovered joiner:
-          {!Gc_kernel.Storage.Record}-encoded entries from the sponsor's
-          delivery-log index [from].  The joiner replays them through its
-          applied-set (overlap with its own log replay is skipped), so the
-          transfer is proportional to the outage, not the state.
-
-          Because delivery-log indices are {e not} comparable across
-          replicas (commuting deliveries interleave differently on each
-          node), the delta is stamped with the sponsor's applied-set
-          cardinality [applied] and order-independent
-          {!Kv.applied_digest} [digest] at capture time.  After install
-          the joiner verifies both; a mismatch means the suffix missed
-          operations and the joiner must fall back to requesting a full
-          {!Sv_state} — installing a short delta silently would lose those
-          operations forever (the membership snapshot's delivered-id sets
-          suppress their retransmission). *)
+      (** Application state for a joiner: a {!Kv.to_blob} image, carried
+          inside the membership snapshot.  The only state-transfer
+          payload: the image is O(keys + streams), not O(history). *)

@@ -1,81 +1,27 @@
-(** Application state transfer for (re)joining replicas: the serve side
-    ({!provide}) and the install side ({!install}) of the payload that
-    rides inside the membership snapshot, factored out of {!Server} so
-    the delta/full decision and its verification are unit-testable
-    without a socket in sight.
+(** Application state for (re)joining and rebooting replicas: boot replay
+    of the durable log ({!replay_entry}) and the serve/install sides of
+    the state transfer that rides inside the membership snapshot
+    ({!provide}, {!install}), factored out of {!Server} so they are
+    unit-testable without a socket in sight.
 
-    Two currencies are involved and must not be confused:
+    State transfer is always the full {!Kv.to_blob} image, whose size
+    follows the key space and the number of (origin, incarnation)
+    streams, not the history.  [Kv.restore] replaces the joiner's state
+    wholesale, so the installed image is exact however the commuting
+    deliveries interleaved on either side. *)
 
-    - {e delivery-log indices} ([have], [from]) are per-replica — the
-      position in that node's durable log.  Commuting (fast-path)
-      deliveries interleave differently on every replica, so indices are
-      only approximately comparable across nodes, with unbounded skew in
-      the worst case.
-    - the {e applied-set} — the set of [(origin, opid)] ids a replica has
-      applied — is exactly comparable: equal sets mean equal KV states
-      regardless of interleaving.
+val replay_entry : kv:Kv.t -> metrics:Gc_obs.Metrics.t -> string -> unit
+(** Replay one durable-log entry through the applied-set at boot: fresh
+    ops are applied and count [server.recovered_ops], ops the snapshot
+    already covers count [server.dup_ops_skipped], and entries that did
+    not carry a replicated KV operation (membership traffic also rides
+    the logged broadcast layer) are skipped. *)
 
-    A delta is therefore selected by log index (cheap, approximate) but
-    {e verified} by applied-set cardinality + XOR digest (exact, whp).
-    Verification failure is not an error to log-and-forget: an op missing
-    from the delta is suppressed forever by the delivered-id dedup sets
-    the stack snapshot installs alongside, so the caller must throw the
-    delta away and fall back to a full {!Proto.Sv_state} transfer. *)
+val provide : kv:Kv.t -> metrics:Gc_obs.Metrics.t -> Gc_net.Payload.t
+(** The app payload for a joiner: a {!Proto.Sv_state} image of [kv],
+    counted as [server.full_transfers]. *)
 
-val delta_margin : int
-(** How many entries below the joiner's announced high-water mark a delta
-    starts: slack for cross-replica interleaving skew of commuting
-    deliveries.  A heuristic that keeps spurious {!install} fallbacks
-    rare — correctness never depends on it. *)
-
-val log_retain : int
-(** How many log entries the periodic snapshot leaves behind when
-    truncating the prefix — the window {!provide} can serve deltas from.
-    Comfortably exceeds {!delta_margin}. *)
-
-val op_of_entry : string -> (int * int * Proto.op * bool) option
-(** Decode one durable-log entry back to [(origin, opid, op, ordered)],
-    or [None] for entries that did not carry a replicated KV operation
-    (membership traffic also rides the logged broadcast layer). *)
-
-val apply_entry :
-  kv:Kv.t ->
-  metrics:Gc_obs.Metrics.t ->
-  on_fresh:
-    (entry:string -> origin:int -> opid:int -> result:string -> unit) ->
-  string ->
-  unit
-(** Replay one log entry through the applied-set: already-seen ops count
-    [server.dup_ops_skipped]; fresh ops are applied and reported to
-    [on_fresh] with the raw entry (so the caller can append it to its own
-    log) and the rendered result (so the caller can answer a client still
-    waiting on that opid). *)
-
-val provide :
-  kv:Kv.t ->
-  metrics:Gc_obs.Metrics.t ->
-  ?storage:Gc_kernel.Storage.t ->
-  have:int ->
-  unit ->
-  Gc_net.Payload.t
-(** Build the app payload for a joiner announcing log high-water mark
-    [have]: a {!Proto.Sv_delta} log suffix (stamped with this replica's
-    applied-set cardinality and {!Kv.applied_digest} at capture time)
-    when [have - delta_margin] is inside the retained window, else a full
-    {!Proto.Sv_state} image.  [have < 0] means the joiner has no log. *)
-
-val install :
-  kv:Kv.t ->
-  metrics:Gc_obs.Metrics.t ->
-  on_fresh:
-    (entry:string -> origin:int -> opid:int -> result:string -> unit) ->
-  Gc_net.Payload.t ->
-  [ `Installed | `Verify_failed | `Unrecognised ]
-(** Install a {!provide} payload.  [`Installed]: state is complete (full
-    image restored, or delta applied and its applied-set expectation
-    met).  [`Verify_failed]: the delta was applied but the applied-set
-    does not match the sponsor's stamp — operations are missing and their
-    redelivery is already suppressed; the caller must request a full
-    transfer (counted as [server.delta_rejected]).  [`Unrecognised]: not
-    a state-transfer payload, or a corrupt blob (counted as
-    [server.bad_delivery]). *)
+val install : kv:Kv.t -> metrics:Gc_obs.Metrics.t -> Gc_net.Payload.t -> bool
+(** Install a {!provide} payload; [true] once the image is restored.  A
+    payload that is not a state image, or a corrupt blob, leaves [kv]
+    untouched, counts [server.bad_delivery] and returns [false]. *)

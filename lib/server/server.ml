@@ -24,14 +24,6 @@ type t = {
   sync_replies : bool;
       (* acked-means-durable: fsync the delivery log before answering a
          client, instead of relying on the group-commit timer *)
-  awaiting_full : bool ref;
-      (* a delta install failed verification and a full transfer is on its
-         way; live deliveries in this window are buffered so the full
-         image's restore cannot wipe them (shared by ref with the
-         installer closure, which outlives [create]'s scope) *)
-  resync_buffer : (int * int * Proto.op * bool) list ref;
-      (* (origin, opid, op, ordered) applied live while awaiting_full, in
-         reverse delivery order *)
   mutable next_opid : int;
   pending : (int, Fconn.t * int * float) Hashtbl.t;
       (* opid -> submitting conn, rid, submit time (runtime clock) *)
@@ -175,17 +167,12 @@ let on_delivery t ~origin:_ ~ordered payload =
   | Proto.Sv_op { origin; opid; op } -> (
       match Kv.apply t.kv ~origin ~opid ~ordered op with
       | None ->
-          (* Already applied during log replay or delta install — the live
-             delivery raced the state transfer.  Skip, don't double-apply. *)
+          (* Already applied during log replay or by the installed image —
+             the live delivery raced the state transfer.  Skip, don't
+             double-apply. *)
           Gc_obs.Metrics.incr t.metrics "server.dup_ops_skipped"
       | Some result ->
           Gc_obs.Metrics.incr t.metrics "server.applied";
-          (* Mid-fallback window: a full Sv_state image is on its way and its
-             restore will overwrite the KV wholesale.  This delivery is
-             already marked consumed by the stack's dedup sets, so park it for
-             a post-restore merge — dropping it here would lose it forever. *)
-          if !(t.awaiting_full) then
-            t.resync_buffer := (origin, opid, op, ordered) :: !(t.resync_buffer);
           if origin = t.id then
             match Hashtbl.find_opt t.pending opid with
             | Some (conn, rid, submitted) ->
@@ -275,10 +262,7 @@ let create ~loop ~id ~initial ?config ?metrics ?(log = ignore) ?join_via
       in
       Storage.iter_from store replay_from (fun ~index:_ entry ->
           had_state := true;
-          Resync.apply_entry ~kv ~metrics
-            ~on_fresh:(fun ~entry:_ ~origin:_ ~opid:_ ~result:_ ->
-              Gc_obs.Metrics.incr metrics "server.recovered_ops")
-            entry);
+          Resync.replay_entry ~kv ~metrics entry);
       incarnation := !incarnation + 1;
       persist ();
       Gc_obs.Metrics.observe metrics "server.recovery_ms"
@@ -286,59 +270,18 @@ let create ~loop ~id ~initial ?config ?metrics ?(log = ignore) ?join_via
       log
         (Printf.sprintf "recovered incarnation %d: %s" !incarnation
            (Kv.dump kv)));
-  let app_state_provider ~have = Resync.provide ~kv ~metrics ?storage ~have () in
-  (* Shared by ref with [t] and with closures wired up only after the
-     stack exists: the installer runs long after [create] returns. *)
-  let pending = Hashtbl.create 64 in
-  let awaiting_full = ref false in
-  let resync_buffer = ref [] in
+  let app_state_provider () = Resync.provide ~kv ~metrics in
+  (* Wired up once [t] exists: the installer runs long after [create]
+     returns. *)
   let open_listener = ref (fun () -> ()) in
-  let request_full = ref (fun () -> ()) in
-  let on_fresh ~entry ~origin ~opid ~result =
-    (* Keep our own log complete: the next restart replays these the same
-       as locally-delivered entries. *)
-    (match storage with
-    | Some store -> ignore (Storage.append store entry)
-    | None -> ());
-    (* A client that submitted just before the crash-or-resync window may
-       be waiting on this very op (it reached the group and came back via
-       the sponsor's delta): answer it rather than leaking the pending
-       entry until the client times out. *)
-    if origin = id then
-      match Hashtbl.find_opt pending opid with
-      | Some (conn, rid, _) ->
-          Hashtbl.remove pending opid;
-          reply conn ~rid ~ok:true result
-      | None -> ()
-  in
   let app_state_installer payload =
-    match Resync.install ~kv ~metrics ~on_fresh payload with
-    | `Installed ->
-        (* Merge back anything delivered live while the full image was in
-           flight: the restore just wiped those ops from the KV, yet the
-           stack's dedup sets already count them as delivered, so this
-           merge is their only chance.  Ops the sponsor captured before
-           shipping are in the blob's applied-set and skip. *)
-        let buffered = List.rev !resync_buffer in
-        resync_buffer := [];
-        awaiting_full := false;
-        List.iter
-          (fun (origin, opid, op, ordered) ->
-            if Kv.apply kv ~origin ~opid ~ordered op <> None then
-              Gc_obs.Metrics.incr metrics "server.applied")
-          buffered;
-        (* An installed state must be durable before we serve on top of
-           it — otherwise a crash right after the join replays an empty
-           log over a stale snapshot. *)
-        persist ();
-        !open_listener ()
-    | `Verify_failed ->
-        (* The delta missed operations (log indices are not comparable
-           across replicas); their redelivery is suppressed, so only a
-           full image can repair us.  Do NOT persist or serve this state. *)
-        awaiting_full := true;
-        !request_full ()
-    | `Unrecognised -> ()
+    if Resync.install ~kv ~metrics payload then begin
+      (* An installed state must be durable before we serve on top of it —
+         otherwise a crash right after the join replays an empty log over a
+         stale snapshot. *)
+      persist ();
+      !open_listener ()
+    end
   in
   let endpoint = Runtime_unix.create ~loop ~me:id ~metrics ~listen:peer_listen () in
   let config =
@@ -375,10 +318,8 @@ let create ~loop ~id ~initial ?config ?metrics ?(log = ignore) ?join_via
       metrics;
       log;
       sync_replies;
-      awaiting_full;
-      resync_buffer;
       next_opid = 0;
-      pending;
+      pending = Hashtbl.create 64;
       clients = [];
       client_listener = None;
       loop;
@@ -409,41 +350,21 @@ let create ~loop ~id ~initial ?config ?metrics ?(log = ignore) ?join_via
   | None -> ()
   | Some store ->
       let proc = Stack.process stack in
-      (* Periodic snapshot + prefix truncation keeps replay bounded; the
-         retained suffix is the window delta transfer serves from. *)
+      (* Periodic snapshot + prefix truncation keeps replay bounded.  Gb
+         logs each entry write-ahead of [Kv.apply], in the same callback,
+         so the snapshot covers every logged entry and the whole prefix
+         can go. *)
       ignore
         (Process.every proc ~period:snapshot_interval (fun () ->
              persist ();
-             let _, next = Storage.extent store in
-             Storage.truncate_before store (next - Resync.log_retain)));
+             Storage.truncate_before store (snd (Storage.extent store))));
       (* Group-commit heartbeat: bounds the window of acknowledged-but-
          unsynced log entries lost to a power cut to [sync_interval]. *)
       ignore
         (Process.every proc ~period:sync_interval (fun () ->
              Storage.sync store)));
-  (match join_via with
-  | Some via ->
-      (* The delta-rejection escape hatch: re-join with no announced log
-         position, which the sponsor can only answer with a full image.
-         Deferred by a zero-delay timer because the installer runs inside
-         the membership Mb_state handler, which flips the joined flag
-         right after it returns — a synchronous re-join here would be
-         clobbered. *)
-      (request_full :=
-         fun () ->
-           log "delta transfer failed verification; requesting full image";
-           ignore
-             (Process.timer (Stack.process stack) ~delay:0.0 (fun () ->
-                  Stack.join stack ~force:true ~via)));
-      (match storage with
-      | Some store ->
-          let _, next = Storage.extent store in
-          (* Announce our log high-water mark so the sponsor can serve a
-             delta; force the join in case peers still list us from before
-             the crash. *)
-          Stack.join stack ~force:!had_state ~have:next ~via
-      | None -> Stack.join stack ~via)
-  | None -> ());
+  (* Force the join in case peers still list us from before the crash. *)
+  Option.iter (fun via -> Stack.join stack ~force:!had_state ~via) join_via;
   t
 
 let shutdown t =

@@ -39,13 +39,10 @@ val create :
     [storage] (typically {!Gc_runtime_unix.Fstore} over [--data-dir])
     makes the replica crash-recoverable: before the stack boots, the KV is
     rebuilt from the durable snapshot plus the delivery-log suffix, the
-    opid incarnation is bumped and durably persisted, and the rejoin
-    announces the log high-water mark so a sponsor can ship a log-delta
-    instead of the full state.  Deltas are verified on install against
-    the sponsor's applied-set digest (see {!Resync}); on mismatch the
-    joiner automatically falls back to a full-image re-join.
-    [snapshot_interval] (ms, default 10s) is the periodic snapshot +
-    log-truncation cadence; [sync_interval] (ms, default 1s) bounds how
+    opid incarnation is bumped and durably persisted, and a rejoin then
+    installs the sponsor's {!Kv.to_blob} image (see {!Resync}), which
+    replaces the rebuilt state wholesale.  [snapshot_interval] (ms,
+    default 10s) is the periodic snapshot + log-truncation cadence; [sync_interval] (ms, default 1s) bounds how
     much acknowledged-but-unsynced log a power cut can lose.
     [sync_replies] (default false) syncs the delivery log before each
     client reply instead — acked-means-durable at the cost of one fsync

@@ -5,8 +5,8 @@
 # (gcs_top --once --assert-live), and assert all three report the same
 # total-order digest.  Then the crash-recovery gate: kill -9 one replica,
 # write more through the survivors, boot it back on the same --data-dir
-# and assert it recovers via log replay plus a sponsor delta transfer
-# (not a full state ship) and reconverges.  Each server also appends a
+# and assert it recovers via log replay plus the sponsor's state image
+# and reconverges, with no frame dropped for exceeding the output cap.  Each server also appends a
 # telemetry JSONL time-series into $logdir, checked for well-formedness
 # at the end.
 #
@@ -117,8 +117,8 @@ done
 
 # Crash recovery: kill -9 a replica, keep writing through the survivors,
 # then boot it back on the same --data-dir.  It must replay its own
-# durable log, fetch only the operations it missed from the sponsor (a
-# delta transfer, not the full state), and reconverge on the same digest.
+# durable log, install the sponsor's state image, and reconverge on the
+# same digest.
 echo "--- crash recovery phase: kill -9 node 2 ---"
 kill -9 "${PIDS[2]}" 2>/dev/null || fail "could not kill node 2"
 wait "${PIDS[2]}" 2>/dev/null || true
@@ -146,17 +146,23 @@ for _ in $(seq 1 30); do
 done
 [ -n "$ok" ] || fail "restarted node 2 did not recover the missed writes"
 
-# The sponsor must have served the rejoin from its log suffix, not by
-# shipping the full state.
-deltas=$("$CLIENT" stats --server "${CPORTS[0]}" --prom --timeout 10000 \
-  | awk '$1 ~ /^gcs_server_delta_transfers(\{|$)/ { s += int($2) } END { print s + 0 }')
-[ -n "$deltas" ] && [ "$deltas" -ge 1 ] \
-  || fail "sponsor served no delta transfer (delta_transfers=${deltas:-0})"
+# Sum one Prometheus counter from a replica's stats endpoint.
+counter() {
+  local prom
+  prom=$("$CLIENT" stats --server "$1" --prom --timeout 10000) || return 1
+  printf '%s\n' "$prom" \
+    | awk -v m="$2" '$1 ~ "^" m "(\\{|$)" { s += int($2) } END { print s + 0 }'
+}
+
+# The sponsor must have served the rejoin with its state image.
+fulls=$(counter "${CPORTS[0]}" gcs_server_full_transfers) || fail "stats via node 0"
+[ -n "$fulls" ] && [ "$fulls" -ge 1 ] \
+  || fail "sponsor served no state transfer (full_transfers=${fulls:-0})"
 
 # A post-recovery write through the reborn replica, then the whole dump
 # line again: order chain, state digest, ordered and commuting counts.
-# The reborn replica rebuilt its applied-set and order chain from its
-# snapshot, its log and the sponsor's delta, so all four must match.
+# The reborn replica took its applied-set and order chain from the
+# sponsor's image, so all four must match.
 "$CLIENT" incr --server "${CPORTS[2]}" hits 7 --timeout 10000 >/dev/null \
   || fail "incr via restarted node 2"
 sleep 2
@@ -168,7 +174,14 @@ for i in 0 1 2; do
 done
 [ "${dumps[0]}" = "${dumps[1]}" ] || fail "post-recovery dumps diverge (0 vs 1)"
 [ "${dumps[0]}" = "${dumps[2]}" ] || fail "post-recovery dumps diverge (0 vs 2)"
-echo "crash recovery OK: node 2 rebooted from its log and reconverged (delta transfers: $deltas)"
+echo "crash recovery OK: node 2 rebooted from its log and reconverged (full transfers: $fulls)"
+
+# No replica may have dropped a frame longer than the output cap: such a
+# frame can never be sent, and its retransmissions would fail the same way.
+for i in 0 1 2; do
+  over=$(counter "${CPORTS[$i]}" gcs_net_tx_oversize) || fail "stats via node $i"
+  [ "$over" -eq 0 ] || fail "node $i dropped $over oversize frames"
+done
 
 # Every server's telemetry time-series must exist, have accumulated
 # several snapshots, and parse line-by-line as JSON with the expected

@@ -205,6 +205,19 @@ let test_backlog_drop_counted () =
             (Metrics.counter m "net.tx_drop");
           Alcotest.(check bool) "still open" false (Fconn.closed conn))
 
+(* A frame longer than the cap itself can never be sent: it is dropped
+   and counted as oversize, and the connection carries on. *)
+let test_oversize_counted () =
+  with_pair (fun loop m conn b ->
+      Fconn.send conn
+        (Proto.Cl_reply { rid = 0; ok = true; body = String.make (300 * 1024) 'x' });
+      Alcotest.(check int) "oversize counted" 1 (Metrics.counter m "net.tx_oversize");
+      Alcotest.(check int) "and dropped" 1 (Metrics.counter m "net.tx_drop");
+      Fconn.send conn (put 1);
+      Evloop.run_once loop ~max_wait:0.0;
+      Alcotest.(check (list int)) "the next frame arrives" [ 1 ]
+        (rids (peer_frames b)))
+
 let suite =
   [
     ( "evloop",
@@ -222,5 +235,7 @@ let suite =
           test_send_then_close;
         Alcotest.test_case "backlog drops are counted" `Quick
           test_backlog_drop_counted;
+        Alcotest.test_case "oversize frames are counted" `Quick
+          test_oversize_counted;
       ] );
   ]

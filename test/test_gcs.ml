@@ -23,7 +23,7 @@ let make_stacks ?(config = Stack.default_config) ?(n_founders = None) ~n ~seed
   let applied = Array.make n [] in
   let stacks =
     Array.init n (fun id ->
-        let app_state_provider ~have:_ = State (List.rev applied.(id)) in
+        let app_state_provider () = State (List.rev applied.(id)) in
         let app_state_installer = function
           | State ops -> applied.(id) <- List.rev ops
           | _ -> ()

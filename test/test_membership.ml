@@ -34,7 +34,7 @@ let build ?(founders = fun _ -> true) ?(state_of = fun _ -> Snapshot 0) w =
         in
         let gm =
           Gm.create node.proc ~rc:node.rc ~transport
-            ~state_provider:(fun ~have:_ -> state_of i)
+            ~state_provider:(fun () -> state_of i)
             ~state_installer:(fun s -> installed.(i) <- Some s)
             ~initial:(View.initial members) ()
         in

@@ -1,14 +1,12 @@
-(* The delta state-transfer engine (Gc_server.Resync) and the applied-set
-   digest it verifies against.
+(* Application state for (re)joining and rebooting replicas
+   (Gc_server.Resync): the full-image state transfer and boot replay of
+   the durable log over a snapshot.
 
-   The high-stakes property under test: delivery-log indices are NOT
-   comparable across replicas (commuting deliveries interleave
-   differently per node), so a log-suffix delta can silently miss
-   operations the joiner never saw — and the membership snapshot's
-   delivered-id sets suppress their retransmission forever.  The sponsor
-   therefore stamps every delta with its applied-set cardinality + XOR
-   digest, and the joiner must reject any delta that does not reproduce
-   both, falling back to a full (always exact) image. *)
+   The high-stakes property under test: a joiner can miss an operation
+   its sponsor applied (commuting deliveries interleave differently per
+   node), and the membership snapshot's delivered-id sets suppress its
+   retransmission forever.  The full image replaces the joiner's state
+   wholesale, so whatever the joiner missed comes with it. *)
 
 module Storage = Gc_kernel.Storage
 module Stack = Gcs.Gcs_stack
@@ -41,181 +39,90 @@ let apply_and_log kv store ~origin ~opid ~ordered op =
   let _, seq = Storage.extent store in
   ignore (Storage.append store (entry ~seq ~origin ~opid ~ordered op))
 
-let no_fresh ~entry:_ ~origin:_ ~opid:_ ~result:_ =
-  Alcotest.fail "no fresh op expected"
+(* ---------- state transfer: the full image ---------- *)
 
-(* ---------- the applied-set digest ---------- *)
-
-let test_applied_digest_order_independent () =
-  (* Same set of commuting ops, two different interleavings: counts and
-     digest agree.  This is what makes the digest a cross-replica
-     comparable cursor when log indices are not. *)
-  let ops =
-    List.init 8 (fun i ->
-        (i mod 3, 100 + i, Proto.Incr { key = "k" ^ string_of_int i; delta = i }))
-  in
-  let a = Kv.create () and b = Kv.create () in
-  List.iter
-    (fun (origin, opid, op) -> ignore (Kv.apply a ~origin ~opid ~ordered:false op))
-    ops;
-  List.iter
-    (fun (origin, opid, op) -> ignore (Kv.apply b ~origin ~opid ~ordered:false op))
-    (List.rev ops);
-  check_int "counts agree" (Kv.applied_count a) (Kv.applied_count b);
-  check_string "digests agree across interleavings" (Kv.applied_digest a)
-    (Kv.applied_digest b);
-  (* Equal cardinality but one differing id: the count alone would pass,
-     the digest must not. *)
-  let c = Kv.create () in
-  List.iteri
-    (fun i (origin, opid, op) ->
-      let opid = if i = 0 then 999_999 else opid in
-      ignore (Kv.apply c ~origin ~opid ~ordered:false op))
-    ops;
-  check_int "same cardinality" (Kv.applied_count a) (Kv.applied_count c);
-  check_bool "digest detects a swapped id" false
-    (Kv.applied_digest a = Kv.applied_digest c);
-  (* A strict subset differs too. *)
-  let d = Kv.create () in
-  List.iteri
-    (fun i (origin, opid, op) ->
-      if i > 0 then ignore (Kv.apply d ~origin ~opid ~ordered:false op))
-    ops;
-  check_bool "digest detects a missing id" false
-    (Kv.applied_digest a = Kv.applied_digest d);
-  (* The digest survives the snapshot blob roundtrip. *)
-  let e = Kv.create () in
-  Kv.restore e (Kv.to_blob a);
-  check_string "digest survives restore" (Kv.applied_digest a)
-    (Kv.applied_digest e)
-
-(* ---------- delta transfer: the clean path ---------- *)
-
-let test_delta_within_window_verifies () =
-  (* Sponsor and joiner share one interleaving; the joiner simply crashed
-     having logged a prefix.  The delta must cover the gap, report every
-     fresh op (with its rendered result) to on_fresh, and verify. *)
-  let metrics = Gc_obs.Metrics.create () in
-  let sponsor = Kv.create () and sponsor_log = Storage.in_memory () in
-  let joiner = Kv.create () and joiner_log = Storage.in_memory () in
-  for i = 0 to 399 do
-    let op = Proto.Put { key = "k" ^ string_of_int (i mod 10); value = string_of_int i } in
-    apply_and_log sponsor sponsor_log ~origin:0 ~opid:i ~ordered:true op;
-    if i < 300 then apply_and_log joiner joiner_log ~origin:0 ~opid:i ~ordered:true op
-  done;
-  let have = snd (Storage.extent joiner_log) in
-  check_int "joiner high-water mark" 300 have;
-  let payload = Resync.provide ~kv:sponsor ~metrics ~storage:sponsor_log ~have () in
-  check_int "served as a delta" 1 (Gc_obs.Metrics.counter metrics "server.delta_transfers");
-  let fresh = ref [] in
-  let on_fresh ~entry ~origin:_ ~opid ~result =
-    ignore (Storage.append joiner_log entry);
-    fresh := (opid, result) :: !fresh
-  in
-  (match Resync.install ~kv:joiner ~metrics ~on_fresh payload with
-  | `Installed -> ()
-  | `Verify_failed -> Alcotest.fail "clean delta rejected"
-  | `Unrecognised -> Alcotest.fail "unrecognised payload");
-  check_int "exactly the gap was fresh" 100 (List.length !fresh);
-  (* on_fresh saw the rendered value, usable as a late client reply *)
-  (match List.rev !fresh with
-  | (opid, result) :: _ ->
-      check_int "first fresh opid" 300 opid;
-      check_string "first fresh result" "300" result
-  | [] -> Alcotest.fail "no fresh ops");
-  check_string "state digests converge" (Kv.state_digest sponsor)
-    (Kv.state_digest joiner);
-  check_string "applied digests converge" (Kv.applied_digest sponsor)
-    (Kv.applied_digest joiner);
-  check_int "joiner log extended by the gap" 400
-    (snd (Storage.extent joiner_log));
-  check_int "nothing rejected" 0
-    (Gc_obs.Metrics.counter metrics "server.delta_rejected")
-
-(* ---------- delta transfer: the divergence regression ---------- *)
-
-let test_delta_missing_op_rejected_then_full_repairs () =
-  (* REVIEW regression: the joiner was deaf to one origin's commuting op X
-     — delivered early at the sponsor (log index 0) — while delivering
-     hundreds of later ops, then crashed.  Its log high-water mark equals
-     the sponsor's minus one, so [have - delta_margin] lands far above
-     X's index at the sponsor and the delta excludes X.  Before
-     verification existed this installed silently: X is suppressed
-     forever by the snapshot's delivered-id sets and the replicas diverge
-     with no detection.  Now the applied-set stamp must reject the delta,
-     and a full image (the have:-1 re-join) must repair the joiner. *)
+let test_full_image_repairs_joiner () =
+  (* The divergence regression: the joiner was deaf to one origin's
+     commuting op X — delivered early at the sponsor — while delivering
+     hundreds of later ops.  Its log is one entry short of the sponsor's,
+     so no log position can tell what it lacks; the image carries X. *)
   let metrics = Gc_obs.Metrics.create () in
   let sponsor = Kv.create () and sponsor_log = Storage.in_memory () in
   let joiner = Kv.create () and joiner_log = Storage.in_memory () in
   let x = Proto.Incr { key = "ghost"; delta = 7 } in
   apply_and_log sponsor sponsor_log ~origin:1 ~opid:1_000 ~ordered:false x;
   for i = 0 to 599 do
-    let op = Proto.Incr { key = "k" ^ string_of_int (i mod 5); delta = 1 } in
-    apply_and_log sponsor sponsor_log ~origin:0 ~opid:i ~ordered:false op;
-    apply_and_log joiner joiner_log ~origin:0 ~opid:i ~ordered:false op
+    let key = "k" ^ string_of_int (i mod 5) in
+    let op, ordered =
+      if i mod 4 = 0 then (Proto.Put { key; value = string_of_int i }, true)
+      else (Proto.Incr { key = "n" ^ key; delta = 1 }, false)
+    in
+    apply_and_log sponsor sponsor_log ~origin:0 ~opid:i ~ordered op;
+    apply_and_log joiner joiner_log ~origin:0 ~opid:i ~ordered op
   done;
-  let have = snd (Storage.extent joiner_log) in
-  check_int "skew: joiner is one entry behind" 601
-    (snd (Storage.extent sponsor_log));
-  let payload = Resync.provide ~kv:sponsor ~metrics ~storage:sponsor_log ~have () in
-  check_int "served as a delta" 1
-    (Gc_obs.Metrics.counter metrics "server.delta_transfers");
-  (match payload with
-  | Proto.Sv_delta { from; _ } ->
-      check_bool "delta starts above X's index" true (from > 0)
-  | _ -> Alcotest.fail "expected a delta");
-  let on_fresh ~entry ~origin:_ ~opid:_ ~result:_ =
-    ignore (Storage.append joiner_log entry)
-  in
-  (match Resync.install ~kv:joiner ~metrics ~on_fresh payload with
-  | `Verify_failed -> ()
-  | `Installed -> Alcotest.fail "delta missing an op must not verify"
-  | `Unrecognised -> Alcotest.fail "unrecognised payload");
-  check_int "rejection counted" 1
-    (Gc_obs.Metrics.counter metrics "server.delta_rejected");
-  check_bool "joiner still missing X" false (Kv.seen joiner ~origin:1 ~opid:1_000);
-  (* The fallback: re-join announcing no log position → full image. *)
-  let payload = Resync.provide ~kv:sponsor ~metrics ~storage:sponsor_log ~have:(-1) () in
-  check_int "fallback served full" 1
+  check_int "joiner is one entry behind" 601 (snd (Storage.extent sponsor_log));
+  check_bool "joiner missing X" false (Kv.seen joiner ~origin:1 ~opid:1_000);
+  let payload = Resync.provide ~kv:sponsor ~metrics in
+  check_int "served full" 1
     (Gc_obs.Metrics.counter metrics "server.full_transfers");
-  (match Resync.install ~kv:joiner ~metrics ~on_fresh:no_fresh payload with
-  | `Installed -> ()
-  | `Verify_failed | `Unrecognised -> Alcotest.fail "full image must install");
+  check_bool "image installs" true (Resync.install ~kv:joiner ~metrics payload);
   check_bool "X recovered" true (Kv.seen joiner ~origin:1 ~opid:1_000);
   check_string "state digests converge" (Kv.state_digest sponsor)
     (Kv.state_digest joiner);
-  check_string "applied digests converge" (Kv.applied_digest sponsor)
-    (Kv.applied_digest joiner)
+  check_string "order digests converge" (Kv.order_digest sponsor)
+    (Kv.order_digest joiner);
+  check_int "applied counts converge" (Kv.applied_count sponsor)
+    (Kv.applied_count joiner);
+  check_int "nothing rejected" 0
+    (Gc_obs.Metrics.counter metrics "server.bad_delivery");
+  (* Anything but a sound image is refused and leaves the state alone. *)
+  let before = Kv.dump joiner in
+  check_bool "non-image payload refused" false
+    (Resync.install ~kv:joiner ~metrics
+       (Proto.Sv_op { origin = 0; opid = 0; op = x }));
+  let blob = Kv.to_blob sponsor in
+  check_bool "corrupt blob refused" false
+    (Resync.install ~kv:joiner ~metrics
+       (Proto.Sv_state { blob = String.sub blob 0 (String.length blob / 2) }));
+  check_int "refusals counted" 2
+    (Gc_obs.Metrics.counter metrics "server.bad_delivery");
+  check_string "refusals leave the state" before (Kv.dump joiner)
 
-(* A joiner whose retained-window check fails (too far behind) is served
-   the full image straight away — no delta, no verification roundtrip. *)
-let test_stale_joiner_gets_full () =
+(* ---------- boot replay ---------- *)
+
+let test_replay_over_snapshot () =
+  (* A snapshot taken after 30 of 50 logged ops, then the whole log
+     replayed over it (as after a crash before the prefix was truncated):
+     the 30 covered entries are skipped, the 20 above it applied, and a
+     log entry that carries no KV op is ignored. *)
   let metrics = Gc_obs.Metrics.create () in
-  let sponsor = Kv.create () and sponsor_log = Storage.in_memory () in
+  let live = Kv.create () and log = Storage.in_memory () in
+  let snapshot = ref "" in
   for i = 0 to 49 do
-    apply_and_log sponsor sponsor_log ~origin:0 ~opid:i ~ordered:true
-      (Proto.Put { key = "k"; value = string_of_int i })
+    if i = 30 then snapshot := Kv.to_blob live;
+    apply_and_log live log ~origin:(i mod 3) ~opid:i ~ordered:(i mod 2 = 0)
+      (if i mod 2 = 0 then Proto.Put { key = "k"; value = string_of_int i }
+       else Proto.Incr { key = "n"; delta = i })
   done;
-  Storage.truncate_before sponsor_log 40;
-  (match
-     Resync.provide ~kv:sponsor ~metrics ~storage:sponsor_log ~have:50 ()
-   with
-  | Proto.Sv_state _ -> ()
-  | _ -> Alcotest.fail "expected full: have - margin is below the window");
-  check_int "full counted" 1
-    (Gc_obs.Metrics.counter metrics "server.full_transfers")
+  ignore (Storage.append log "not a record");
+  let rebooted = Kv.create () in
+  Kv.restore rebooted !snapshot;
+  Storage.iter_from log 0 (fun ~index:_ e ->
+      Resync.replay_entry ~kv:rebooted ~metrics e);
+  check_int "covered entries skipped" 30
+    (Gc_obs.Metrics.counter metrics "server.dup_ops_skipped");
+  check_int "the rest applied" 20
+    (Gc_obs.Metrics.counter metrics "server.recovered_ops");
+  check_string "state rebuilt" (Kv.dump live) (Kv.dump rebooted);
+  check_int "applied count rebuilt" 50 (Kv.applied_count rebooted)
 
 let suite =
   [
     ( "resync",
       [
-        Alcotest.test_case "applied digest is order-independent" `Quick
-          test_applied_digest_order_independent;
-        Alcotest.test_case "delta within window verifies" `Quick
-          test_delta_within_window_verifies;
-        Alcotest.test_case "delta missing an op rejected, full repairs" `Quick
-          test_delta_missing_op_rejected_then_full_repairs;
-        Alcotest.test_case "stale joiner gets full image" `Quick
-          test_stale_joiner_gets_full;
+        Alcotest.test_case "full image repairs a joiner" `Quick
+          test_full_image_repairs_joiner;
+        Alcotest.test_case "replay over a snapshot" `Quick
+          test_replay_over_snapshot;
       ] );
   ]
