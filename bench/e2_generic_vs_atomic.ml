@@ -7,7 +7,6 @@
 
 open Bench_util
 module Sm = Gc_replication.State_machine
-module Active = Gc_replication.Active
 module Active_gb = Gc_replication.Active_gb
 module Client = Gc_replication.Client
 
@@ -36,8 +35,9 @@ let run_cell ~use_generic ~commuting_pct ~seed =
     else
       List.map
         (fun id ->
-          Active.stack
-            (Active.create (Gc_kernel.Runtime.of_netsim net ~trace) ~id ~initial:replicas
+          Active_gb.stack
+            (Active_gb.create (Gc_kernel.Runtime.of_netsim net ~trace) ~id ~initial:replicas
+               ~classify:(fun _ -> Gc_gbcast.Conflict.Ordered)
                ~make_sm:Sm.Bank.make ()))
         replicas
   in

@@ -4,20 +4,20 @@
      dune exec bin/gcs_top.exe -- --servers 8001,8002,8003 --once --assert-live
 
    Every --interval ms it scrapes Cl_stats (JSON) from each replica,
-   subtracts the previous snapshot (Gc_obs.Snapshot.delta) and shows
-   per-window throughput, submit->deliver latency percentiles,
+   subtracts the previous reply's registry (Gc_obs.Metrics.delta) and
+   shows per-window throughput, submit->deliver latency percentiles,
    event-loop health and whether the replicas' order digests agree.
 
    --once prints a single table instead of redrawing; adding
    --assert-live turns that into a health gate: exit 0 only if every
-   replica answers with a parseable snapshot showing delivered abcast
+   replica answers with a parseable registry showing delivered abcast
    traffic, a populated latency histogram with finite p99, event-loop
    profiling, and an order digest identical to every other replica's
    (what the CI loopback job runs mid-load). *)
 
 module C = Gc_server.Sync_client
 module Json = Gc_obs.Json
-module Snapshot = Gc_obs.Snapshot
+module Metrics = Gc_obs.Metrics
 open Cmdliner
 
 type sample = {
@@ -30,7 +30,7 @@ type sample = {
   commuting : int;
   order_digest : string;
   state_digest : string;
-  snap : Snapshot.t;
+  metrics : Metrics.t;
 }
 
 let parse_server spec =
@@ -76,9 +76,9 @@ let sample_of_body body =
       match Json.member "metrics" j with
       | None -> Error "stats json lacks \"metrics\""
       | Some m -> (
-          match Snapshot.of_json m with
+          match Metrics.of_json m with
           | exception Invalid_argument e -> Error ("bad metrics: " ^ e)
-          | snap ->
+          | metrics ->
               Ok
                 {
                   node = int_of_float (num "node" j);
@@ -90,7 +90,7 @@ let sample_of_body body =
                   commuting = int_of_float (num "commuting" kv);
                   order_digest = str "order_digest" kv;
                   state_digest = str "state_digest" kv;
-                  snap;
+                  metrics;
                 }))
 
 let poll addr =
@@ -105,14 +105,14 @@ let poll addr =
 
 let pct v = if Float.is_nan v then "-" else Printf.sprintf "%.1f" v
 
-let lat_cell snap name =
-  if Snapshot.hist_count snap name = 0 then "-"
+let lat_cell m name =
+  if Metrics.hist_count m name = 0 then "-"
   else
     Printf.sprintf "%s/%s/%s/%s"
-      (pct (Snapshot.quantile snap name 0.50))
-      (pct (Snapshot.quantile snap name 0.90))
-      (pct (Snapshot.quantile snap name 0.99))
-      (pct (Snapshot.hist_max snap name))
+      (pct (Metrics.quantile m name 0.50))
+      (pct (Metrics.quantile m name 0.90))
+      (pct (Metrics.quantile m name 0.99))
+      (pct (Metrics.hist_max m name))
 
 let digest_tag all_digests d =
   let short = if String.length d >= 8 then String.sub d 0 8 else d in
@@ -123,9 +123,12 @@ let digest_tag all_digests d =
   in
   if agree then short ^ " =" else short ^ " !"
 
-(* One table row per replica.  [window] is the delta snapshot since the
-   previous poll when there is one (rates and fresh latency), otherwise
-   the cumulative snapshot. *)
+(* One table row per replica.  [window] is the delta since the previous
+   poll when there is one (rates and fresh latency), otherwise the
+   cumulative registry.  The window's length comes from the server's own
+   clock: the difference of the two replies' uptimes, or the new uptime
+   alone when it went down (a restart; [delta] then keeps the whole
+   post-restart counters too). *)
 let render results prev =
   let order_digests =
     List.filter_map
@@ -140,30 +143,31 @@ let render results prev =
       match r with
       | Error msg -> Printf.printf "%-14s %s\n" spec ("DOWN: " ^ msg)
       | Ok s ->
-          let window, rate_window_s =
+          let window, window_ms =
             match Hashtbl.find_opt prev s.node with
-            | Some (before, at) ->
-                ( Snapshot.delta ~before ~after:s.snap,
-                  (Unix.gettimeofday () -. at) *. 1.0 )
-            | None -> (s.snap, s.uptime_ms /. 1000.0)
+            | Some (before, before_uptime_ms) ->
+                ( Metrics.delta ~before ~after:s.metrics,
+                  if s.uptime_ms < before_uptime_ms then s.uptime_ms
+                  else s.uptime_ms -. before_uptime_ms )
+            | None -> (s.metrics, s.uptime_ms)
           in
-          let applied = Snapshot.counter s.snap "server.applied" in
-          let window_applied = Snapshot.counter window "server.applied" in
+          let applied = Metrics.counter s.metrics "server.applied" in
+          let window_applied = Metrics.counter window "server.applied" in
           let rate =
-            if rate_window_s > 0.0 then
-              float_of_int window_applied /. rate_window_s
+            if window_ms > 0.0 then
+              float_of_int window_applied /. (window_ms /. 1000.0)
             else 0.0
           in
           let lat =
-            if Snapshot.hist_count window "server.latency_ms" > 0 then
+            if Metrics.hist_count window "server.latency_ms" > 0 then
               lat_cell window "server.latency_ms"
-            else lat_cell s.snap "server.latency_ms"
+            else lat_cell s.metrics "server.latency_ms"
           in
           Printf.printf "%-14s %6.1f %4d %4d %4d %9d %8.1f %-22s %8s %8d %-11s\n"
             spec (s.uptime_ms /. 1000.0) s.vid s.members s.clients applied rate
             lat
-            (pct (Snapshot.quantile s.snap "evloop.tick_ms" 0.99))
-            (Snapshot.counter s.snap "evloop.timer_overdue")
+            (pct (Metrics.quantile s.metrics "evloop.tick_ms" 0.99))
+            (Metrics.counter s.metrics "evloop.timer_overdue")
             (digest_tag order_digests s.order_digest))
     results
 
@@ -183,17 +187,17 @@ let check_live results =
       match r with
       | Error msg -> fail "%s: no snapshot (%s)" spec msg
       | Ok s ->
-          let delivered = Snapshot.counter s.snap "abcast.delivered" in
+          let delivered = Metrics.counter s.metrics "abcast.delivered" in
           if delivered > 0 then pass "%s: abcast.delivered = %d" spec delivered
           else fail "%s: abcast.delivered = 0" spec;
-          let n = Snapshot.hist_count s.snap "server.latency_ms" in
-          let p99 = Snapshot.quantile s.snap "server.latency_ms" 0.99 in
+          let n = Metrics.hist_count s.metrics "server.latency_ms" in
+          let p99 = Metrics.quantile s.metrics "server.latency_ms" 0.99 in
           if n > 0 && Float.is_finite p99 then
             pass "%s: server.latency_ms n=%d p99=%.2fms" spec n p99
           else fail "%s: server.latency_ms empty or p99 not finite" spec;
-          if Snapshot.hist_count s.snap "evloop.tick_ms" > 0 then
+          if Metrics.hist_count s.metrics "evloop.tick_ms" > 0 then
             pass "%s: evloop.tick_ms n=%d" spec
-              (Snapshot.hist_count s.snap "evloop.tick_ms")
+              (Metrics.hist_count s.metrics "evloop.tick_ms")
           else fail "%s: evloop.tick_ms missing" spec)
     results;
   (let digests =
@@ -231,7 +235,7 @@ let run servers_spec interval once assert_live =
     prerr_endline "--servers lists no servers";
     exit 2
   end;
-  let prev : (int, Snapshot.t * float) Hashtbl.t = Hashtbl.create 8 in
+  let prev : (int, Metrics.t * float) Hashtbl.t = Hashtbl.create 8 in
   let rec iter () =
     let results = List.map (fun (spec, addr) -> (spec, poll addr)) addrs in
     if not once then print_string "\027[2J\027[H";
@@ -243,8 +247,7 @@ let run servers_spec interval once assert_live =
     List.iter
       (fun (_, r) ->
         match r with
-        | Ok s ->
-            Hashtbl.replace prev s.node (s.snap, Unix.gettimeofday ())
+        | Ok s -> Hashtbl.replace prev s.node (s.metrics, s.uptime_ms)
         | Error _ -> ())
       results;
     if once then begin

@@ -16,7 +16,6 @@ module Engine = Gc_sim.Engine
 module Trace = Gc_sim.Trace
 module Netsim = Gc_net.Netsim
 module Sm = Gc_replication.State_machine
-module Active = Gc_replication.Active
 module Active_gb = Gc_replication.Active_gb
 module Client = Gc_replication.Client
 module Stats = Gc_sim.Stats
@@ -51,9 +50,10 @@ let run_scheme name ~use_generic =
     else
       List.map
         (fun id ->
-          Active.stack
-            (Active.create (Gc_kernel.Runtime.of_netsim net ~trace) ~id ~initial:replicas ~make_sm:Sm.Bank.make
-               ()))
+          Active_gb.stack
+            (Active_gb.create (Gc_kernel.Runtime.of_netsim net ~trace) ~id ~initial:replicas
+               ~classify:(fun _ -> Gc_gbcast.Conflict.Ordered)
+               ~make_sm:Sm.Bank.make ()))
         replicas
   in
   let clients =

@@ -303,16 +303,10 @@ let metric_recorders =
     ("Gc_kernel.Process.incr", MCounter);
     ("Gc_kernel.Process.set_gauge", MGauge);
     ("Gc_kernel.Process.observe", MHist);
-    ("Gc_obs.Snapshot.counter", MCounter);
-    ("Gc_obs.Snapshot.gauge", MGauge);
-    ("Gc_obs.Snapshot.quantile", MHist);
-    ("Gc_obs.Snapshot.hist_count", MHist);
-    ("Gc_obs.Snapshot.hist_max", MHist);
-    ("Gc_obs.Snapshot.hist_mean", MHist);
   ]
 
-(* The Metrics store implementation itself rehydrates registries from
-   serialized views and JSON, where names are data, not literals — the
+(* The Metrics store implementation itself copies, subtracts and
+   rehydrates registries, where names are data, not literals — the
    original recording sites were already checked.  E2's
    static-checkability requirement stops at the store boundary. *)
 let e2_exempt path = has_suffix ~suffix:"lib/obs/metrics.ml" path

@@ -182,30 +182,6 @@ let view_of_entry = function
 let view t name =
   Option.map view_of_entry (Hashtbl.find_opt t.entries name)
 
-let views t =
-  List.map (fun name -> (name, view_of_entry (Hashtbl.find t.entries name)))
-    (names t)
-
-let of_views vs =
-  let t = create () in
-  List.iter
-    (fun (name, v) ->
-      match v with
-      | V_counter n -> incr ~by:n t name
-      | V_gauge g -> set_gauge t name g
-      | V_hist hv ->
-          let h = hist t name in
-          List.iter
-            (fun (i, c) ->
-              if i >= 0 && i < n_buckets then h.counts.(i) <- h.counts.(i) + c)
-            hv.hv_buckets;
-          h.count <- hv.hv_count;
-          h.sum <- hv.hv_sum;
-          h.min <- hv.hv_min;
-          h.max <- hv.hv_max)
-    vs;
-  t
-
 (* ---------- merge ---------- *)
 
 (* Counters and histograms add; gauges keep the max (the interesting
@@ -233,6 +209,40 @@ let merged ms =
   let into = create () in
   List.iter (fun m -> merge_into ~into m) ms;
   into
+
+(* ---------- delta ---------- *)
+
+(* The window between two captures of one registry, on a copy of [after]:
+   counters and histograms subtract, gauges keep the [after] reading.  A
+   counter or any histogram bucket that decreased means the source
+   restarted between captures, so [after]'s entry stands alone (the
+   Prometheus counter-reset convention).  A window's exact extremes are
+   unknowable from two cumulative captures; they are bounded by the edges
+   of its occupied buckets.  Entries only in [before] are dropped. *)
+let delta ~before ~after =
+  let t = merged [ after ] in
+  Hashtbl.iter
+    (fun name entry ->
+      match (entry, Hashtbl.find_opt before.entries name) with
+      | Counter a, Some (Counter b) -> if !a >= !b then a := !a - !b
+      | Hist a, Some (Hist b)
+        when a.count >= b.count && Array.for_all2 ( >= ) a.counts b.counts ->
+          Array.iteri (fun i c -> a.counts.(i) <- a.counts.(i) - c) b.counts;
+          a.count <- a.count - b.count;
+          a.sum <- a.sum -. b.sum;
+          a.min <- infinity;
+          a.max <- neg_infinity;
+          Array.iteri
+            (fun i c ->
+              if c > 0 then begin
+                if a.min = infinity then
+                  a.min <- (if i = 0 then 0.0 else bucket_upper (i - 1));
+                a.max <- bucket_upper i
+              end)
+            a.counts
+      | _ -> ())
+    t.entries;
+  t
 
 (* ---------- JSON ---------- *)
 
@@ -321,6 +331,83 @@ let of_json (j : Json.t) =
         kvs
   | _ -> invalid_arg "Metrics.of_json: expected an object");
   t
+
+(* ---------- Prometheus exposition ---------- *)
+
+(* Metric names: [a-zA-Z_:][a-zA-Z0-9_:]*; our dotted names map '.' (and
+   anything else illegal) to '_'. *)
+let prom_name name =
+  String.mapi
+    (fun i c ->
+      match c with
+      | 'a' .. 'z' | 'A' .. 'Z' | '_' | ':' -> c
+      | '0' .. '9' when i > 0 -> c
+      | _ -> '_')
+    name
+
+(* Label values escape backslash, double quote and newline. *)
+let prom_escape v =
+  let buf = Buffer.create (String.length v) in
+  String.iter
+    (fun c ->
+      match c with
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\n' -> Buffer.add_string buf "\\n"
+      | c -> Buffer.add_char buf c)
+    v;
+  Buffer.contents buf
+
+let prom_num x =
+  if Float.is_nan x then "NaN"
+  else if x = infinity then "+Inf"
+  else if x = neg_infinity then "-Inf"
+  else if Float.is_integer x && Float.abs x < 1e15 then
+    Printf.sprintf "%.0f" x
+  else Printf.sprintf "%.9g" x
+
+let render_labels labels extra =
+  match labels @ extra with
+  | [] -> ""
+  | kvs ->
+      "{"
+      ^ String.concat ","
+          (List.map
+             (fun (k, v) ->
+               Printf.sprintf "%s=\"%s\"" (prom_name k) (prom_escape v))
+             kvs)
+      ^ "}"
+
+let to_prometheus ?(namespace = "gcs") ?(labels = []) t =
+  let buf = Buffer.create 4096 in
+  let line fmt = Printf.ksprintf (fun l -> Buffer.add_string buf (l ^ "\n")) fmt in
+  List.iter
+    (fun name ->
+      let n = prom_name (namespace ^ "_" ^ name) in
+      match Hashtbl.find t.entries name with
+      | Counter r ->
+          line "# TYPE %s counter" n;
+          line "%s%s %d" n (render_labels labels []) !r
+      | Gauge r ->
+          line "# TYPE %s gauge" n;
+          line "%s%s %s" n (render_labels labels []) (prom_num !r)
+      | Hist h ->
+          line "# TYPE %s histogram" n;
+          let cum = ref 0 in
+          Array.iteri
+            (fun i c ->
+              if c > 0 then begin
+                cum := !cum + c;
+                line "%s_bucket%s %d" n
+                  (render_labels labels [ ("le", prom_num (bucket_upper i)) ])
+                  !cum
+              end)
+            h.counts;
+          line "%s_bucket%s %d" n (render_labels labels [ ("le", "+Inf") ]) h.count;
+          line "%s_sum%s %s" n (render_labels labels []) (prom_num h.sum);
+          line "%s_count%s %d" n (render_labels labels []) h.count)
+    (names t);
+  Buffer.contents buf
 
 (* ---------- pretty-printing ---------- *)
 

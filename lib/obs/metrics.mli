@@ -53,10 +53,8 @@ val names : t -> string list
 
 (** {1 Frozen views}
 
-    An immutable copy of one entry, cheap to capture and safe to hold
-    across further recording.  {!Snapshot} builds its whole API on these;
-    they are exposed here because only this module sees the registry's
-    internals. *)
+    An immutable copy of one entry, safe to hold across further
+    recording. *)
 
 type hist_view = {
   hv_count : int;
@@ -71,11 +69,6 @@ type hist_view = {
 type view = V_counter of int | V_gauge of float | V_hist of hist_view
 
 val view : t -> string -> view option
-val views : t -> (string * view) list
-(** All entries as frozen views, sorted by name. *)
-
-val of_views : (string * view) list -> t
-(** Rebuild a registry from frozen views (inverse of {!views}). *)
 
 val n_buckets : int
 (** Number of histogram buckets (shared by every histogram). *)
@@ -92,6 +85,25 @@ val bucket_upper : int -> float
 
 val merge_into : into:t -> t -> unit
 val merged : t list -> t
+(** [merged [m]] is a capture of [m]: a copy that further recording into
+    [m] leaves unchanged.  It is exact while [m]'s gauges are
+    non-negative, since a merged gauge starts from 0. *)
+
+(** {1 Windows}
+
+    The live telemetry plane: a daemon answers a [Stats] request with its
+    registry, and a monitoring client ([gcs_top]) subtracts consecutive
+    replies to get per-window rates and latency distributions. *)
+
+val delta : before:t -> after:t -> t
+(** The window between two captures of the same registry: counters and
+    histogram buckets subtract, gauges keep the [after] reading.  A
+    counter or histogram that {e decreased} means the source restarted
+    between captures; the [after] value then stands alone (the Prometheus
+    counter-reset convention).  A delta histogram's min/max are bounded
+    by the edges of the window's occupied buckets (the exact extremes of
+    just the window are unknowable from cumulative captures).  Entries
+    only in [before] are dropped. *)
 
 (** {1 Serialisation} *)
 
@@ -107,6 +119,15 @@ val to_json : ?include_zeros:bool -> t -> Json.t
 val of_json : Json.t -> t
 (** Inverse of {!to_json} (derived quantiles are recomputed from buckets).
     @raise Invalid_argument when the value is not an object. *)
+
+val to_prometheus :
+  ?namespace:string -> ?labels:(string * string) list -> t -> string
+(** Prometheus text exposition: [# TYPE] comments, dotted metric names
+    mapped to [namespace_layer_metric] (default namespace ["gcs"]),
+    histograms as cumulative [_bucket{le="..."}] series plus [_sum] and
+    [_count].  [labels] are attached to every sample; label values are
+    escaped per the exposition format (backslash, double quote,
+    newline). *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable table, one metric per line. *)

@@ -1,12 +1,18 @@
-(** State-machine replication over {e generic} broadcast — the paper's
-    Section 4.2 bank-account scenario as a replication scheme.
+(** Active replication (state-machine approach [33]) over {e generic}
+    broadcast — Section 3.2.2 of the paper, with the Section 4.2
+    bank-account scenario as its workload.
 
-    Like {!Active}, every replica executes every command; unlike it, commands
-    are broadcast through the generic-broadcast classes: commands classified
-    [Commuting] (e.g. deposits) take the consensus-free fast path, commands
-    classified [Ordered] (e.g. withdrawals) are totally ordered against
-    everything.  Replicas may apply commuting commands in different orders —
-    which is exactly why they must commute — and still converge. *)
+    Every replica runs the deterministic state machine and the contacted
+    replica replies.  Each command is broadcast through its
+    generic-broadcast class: commands classified [Commuting] (e.g.
+    deposits) take the consensus-free fast path, commands classified
+    [Ordered] (e.g. withdrawals) are totally ordered against everything.
+    Replicas may apply commuting commands in different orders — which is
+    exactly why they must commute — and still converge.  A classifier that
+    answers [Ordered] for every command is active replication over atomic
+    broadcast.  Retries are made safe by an at-most-once table keyed by
+    (client, request id), which also serves cached replies when a client
+    retries through a different replica after a crash. *)
 
 type t
 

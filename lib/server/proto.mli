@@ -17,7 +17,7 @@ val op_to_string : op -> string
 
 type stats_format = Stats_json | Stats_prometheus
 (** Exposition format of a [Cl_stats] reply body: the registry's compact
-    JSON (parse with {!Gc_obs.Snapshot.of_json} via the ["metrics"]
+    JSON (parse with {!Gc_obs.Metrics.of_json} via the ["metrics"]
     member) or Prometheus text exposition. *)
 
 type Gc_net.Payload.t +=

@@ -6,7 +6,6 @@ module View = Gc_membership.View
 module Process = Gc_kernel.Process
 module Storage = Gc_kernel.Storage
 module Json = Gc_obs.Json
-module Snapshot = Gc_obs.Snapshot
 
 type t = {
   id : int;
@@ -101,8 +100,6 @@ let conns_json t : Json.t =
            ])
        t.clients)
 
-let snapshot t = Snapshot.of_metrics t.metrics
-
 let stats_json t : Json.t =
   Obj
     [
@@ -112,7 +109,7 @@ let stats_json t : Json.t =
       ("kv", kv_json t);
       ("view", view_json t);
       ("clients", conns_json t);
-      ("metrics", Snapshot.to_json (snapshot t));
+      ("metrics", Gc_obs.Metrics.to_json t.metrics);
     ]
 
 let health_json t : Json.t =
@@ -133,7 +130,7 @@ let stats_body t format =
   | Proto.Stats_json -> Json.to_string (stats_json t)
   | Proto.Stats_prometheus ->
       let labels = [ ("node", string_of_int t.id) ] in
-      Snapshot.to_prometheus ~labels (snapshot t)
+      Gc_obs.Metrics.to_prometheus ~labels t.metrics
       (* Digests ride as an info-style gauge: constant value, identifying
          labels — hex-only values, nothing to escape. *)
       ^ Printf.sprintf

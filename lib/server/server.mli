@@ -54,7 +54,7 @@ val stats_json : t -> Gc_obs.Json.t
 (** The full telemetry snapshot a [Cl_stats] (JSON format) reply
     carries: node id, uptime, KV digests/counters, current view,
     per-client-connection I/O, and the whole metrics registry under
-    ["metrics"] (parse with {!Gc_obs.Snapshot.of_json}).  Also what the
+    ["metrics"] (parse with {!Gc_obs.Metrics.of_json}).  Also what the
     [--telemetry-interval] JSONL writer appends each tick. *)
 
 val stats_body : t -> Proto.stats_format -> string

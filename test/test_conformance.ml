@@ -205,21 +205,21 @@ module Conformance (B : Backend) = struct
 
   (* The live-telemetry obligation: whatever this backend's stacks
      recorded must survive the exact wire path a [Cl_stats] reply takes —
-     snapshot -> JSON body -> framed [Cl_reply] -> decoder -> snapshot —
+     registry -> JSON body -> framed [Cl_reply] -> decoder -> registry —
      with counters and quantile estimates intact. *)
   let test_stats_roundtrip () =
     let _, metrics = B.run_scenario () in
-    let module Snapshot = Gc_obs.Snapshot in
+    let module Metrics = Gc_obs.Metrics in
     let module Proto = Gc_server.Proto in
     let module Frame = Gc_net.Frame in
-    let snap = Snapshot.of_metrics metrics in
+    let snap = Metrics.merged [ metrics ] in
     Alcotest.(check bool)
       "scenario recorded abcast deliveries" true
-      (Snapshot.counter snap "abcast.delivered" > 0);
+      (Metrics.counter snap "abcast.delivered" > 0);
     Alcotest.(check bool)
       "scenario recorded rbcast deliveries" true
-      (Snapshot.counter snap "rbcast.delivered" > 0);
-    let body = Gc_obs.Json.to_string (Snapshot.to_json snap) in
+      (Metrics.counter snap "rbcast.delivered" > 0);
+    let body = Gc_obs.Json.to_string (Metrics.to_json snap) in
     let frame =
       match Frame.encode (Proto.Cl_reply { rid = 7; ok = true; body }) with
       | Ok f -> f
@@ -231,24 +231,24 @@ module Conformance (B : Backend) = struct
       ~off:0 ~len:(String.length frame);
     match Frame.Decoder.next dec with
     | `Payload (Proto.Cl_reply { rid = 7; ok = true; body = body' }) ->
-        let snap' = Snapshot.of_json (Gc_obs.Json.of_string body') in
+        let snap' = Metrics.of_json (Gc_obs.Json.of_string body') in
         (* JSON exposition drops zero-valued entries by default, so the
            expectation is the local JSON round-trip, not the raw capture. *)
         Alcotest.(check (list string))
           "names survive the wire"
-          (Snapshot.names (Snapshot.of_json (Snapshot.to_json snap)))
-          (Snapshot.names snap');
+          (Metrics.names (Metrics.of_json (Metrics.to_json snap)))
+          (Metrics.names snap');
         List.iter
           (fun name ->
             Alcotest.(check int)
               (name ^ " counter survives")
-              (Snapshot.counter snap name)
-              (Snapshot.counter snap' name))
+              (Metrics.counter snap name)
+              (Metrics.counter snap' name))
           [ "abcast.delivered"; "rbcast.delivered"; "consensus.instances_decided" ];
         Alcotest.(check (float 1e-9))
           "latency p99 estimate survives"
-          (Snapshot.quantile snap "abcast.latency_ms" 0.99)
-          (Snapshot.quantile snap' "abcast.latency_ms" 0.99)
+          (Metrics.quantile snap "abcast.latency_ms" 0.99)
+          (Metrics.quantile snap' "abcast.latency_ms" 0.99)
     | _ -> Alcotest.fail "stats reply did not round-trip the frame codec"
 
   (* The batching obligation (DESIGN.md Section 15): every backend must

@@ -1,6 +1,7 @@
 (* Gc_obs: the metrics registry (counters, gauges, log-bucketed
-   histograms), its JSON round-trip, cross-node merging, the trace
-   buffer's bounded capacity, the deprecated emit shim — and the
+   histograms), its JSON round-trip, cross-node merging, captures, window
+   deltas and Prometheus exposition, the trace buffer's bounded capacity,
+   structured emission — and the
    architectural end-to-end property the registry exists to expose:
    rbcast-only traffic consumes strictly fewer consensus instances than
    the same traffic totally ordered. *)
@@ -115,9 +116,7 @@ let test_json_roundtrip () =
     "text round-trip" (Json.to_string j)
     (Json.to_string (Metrics.to_json m''))
 
-(* ---------- snapshots: capture, delta, exposition ---------- *)
-
-module Snapshot = Gc_obs.Snapshot
+(* ---------- captures, deltas, exposition ---------- *)
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -129,21 +128,23 @@ let check_contains what hay needle =
     (Printf.sprintf "%s: %S present" what needle)
     true (contains hay needle)
 
+let capture m = Metrics.merged [ m ]
+
 let test_snapshot_immutable () =
   let m = Metrics.create () in
   Metrics.incr m "c" ~by:2;
   Metrics.observe m "h" 1.0;
-  let s = Snapshot.of_metrics m in
+  let s = capture m in
   Metrics.incr m "c" ~by:40;
   Metrics.observe m "h" 9.0;
-  check_int "capture frozen: counter" 2 (Snapshot.counter s "c");
-  check_int "capture frozen: hist count" 1 (Snapshot.hist_count s "h");
-  (* And it round-trips through JSON bit-compatibly with Metrics.to_json. *)
-  let j = Snapshot.to_json s in
+  check_int "capture frozen: counter" 2 (Metrics.counter s "c");
+  check_int "capture frozen: hist count" 1 (Metrics.hist_count s "h");
+  (* And it round-trips through JSON bit-compatibly. *)
+  let j = Metrics.to_json s in
   Alcotest.(check string)
-    "snapshot json round-trip"
+    "capture json round-trip"
     (Json.to_string j)
-    (Json.to_string (Snapshot.to_json (Snapshot.of_json j)))
+    (Json.to_string (Metrics.to_json (Metrics.of_json j)))
 
 let test_snapshot_delta () =
   let m = Metrics.create () in
@@ -152,27 +153,29 @@ let test_snapshot_delta () =
   for v = 1 to 50 do
     Metrics.observe m "h" (float_of_int v)
   done;
-  let before = Snapshot.of_metrics m in
+  let before = capture m in
   Metrics.incr m "c" ~by:7;
   Metrics.set_gauge m "g" 2.5;
   for v = 51 to 80 do
     Metrics.observe m "h" (float_of_int v)
   done;
   Metrics.incr m "late";
-  let after = Snapshot.of_metrics m in
-  let d = Snapshot.delta ~before ~after in
-  check_int "counters subtract" 7 (Snapshot.counter d "c");
-  check_float "gauges keep the after reading" 2.5 (Snapshot.gauge d "g");
-  check_int "histogram window count" 30 (Snapshot.hist_count d "h");
+  let after = capture m in
+  let d = Metrics.delta ~before ~after in
+  check_int "counters subtract" 7 (Metrics.counter d "c");
+  check_float "gauges keep the after reading" 2.5 (Metrics.gauge d "g");
+  check_int "histogram window count" 30 (Metrics.hist_count d "h");
   check_int "entries born inside the window survive" 1
-    (Snapshot.counter d "late");
+    (Metrics.counter d "late");
   (* The window held 51..80 only: its median must sit far above the
      cumulative median (~40), even with one-bucket resolution. *)
-  let p50 = Snapshot.quantile d "h" 0.5 in
+  let p50 = Metrics.quantile d "h" 0.5 in
   Alcotest.(check bool)
     (Printf.sprintf "window p50 %.1f reflects only the window" p50)
     true
-    (p50 >= 50.0 && p50 <= 80.0)
+    (p50 >= 50.0 && p50 <= 80.0);
+  check_int "delta leaves its after argument alone" 17
+    (Metrics.counter after "c")
 
 let test_snapshot_counter_reset () =
   let a = Metrics.create () in
@@ -180,26 +183,98 @@ let test_snapshot_counter_reset () =
   for _ = 1 to 20 do
     Metrics.observe a "h" 5.0
   done;
-  let before = Snapshot.of_metrics a in
+  let before = capture a in
   (* The source restarts: a fresh registry with smaller readings. *)
   let b = Metrics.create () in
   Metrics.incr b "c" ~by:3;
   Metrics.observe b "h" 5.0;
-  let after = Snapshot.of_metrics b in
-  let d = Snapshot.delta ~before ~after in
-  check_int "decreased counter: after stands alone" 3 (Snapshot.counter d "c");
+  let after = capture b in
+  let d = Metrics.delta ~before ~after in
+  check_int "decreased counter: after stands alone" 3 (Metrics.counter d "c");
   check_int "decreased histogram: after stands alone" 1
-    (Snapshot.hist_count d "h")
+    (Metrics.hist_count d "h")
 
+(* Record a random sequence, capture at a random split point: the delta
+   reads exactly like a registry that recorded only the suffix (counters,
+   histogram counts and every bucket), and a restarted source (a fresh
+   registry holding less than the capture) comes back unchanged. *)
+type obs_step = Incr of int * int | Observe of int * float
+
+let prop_delta_is_suffix =
+  let step =
+    QCheck.Gen.(
+      oneof
+        [
+          map2 (fun k by -> Incr (k, by)) (int_bound 2) (int_range 1 5);
+          map2 (fun k v -> Observe (k, v)) (int_bound 2) (float_bound_inclusive 1e4);
+        ])
+  in
+  let print (steps, split) =
+    Printf.sprintf "split=%d [%s]" split
+      (String.concat "; "
+         (List.map
+            (function
+              | Incr (k, by) -> Printf.sprintf "incr c%d %d" k by
+              | Observe (k, v) -> Printf.sprintf "observe h%d %g" k v)
+            steps))
+  in
+  let gen =
+    QCheck.Gen.(
+      list_size (int_bound 60) step >>= fun steps ->
+      map (fun split -> (steps, split)) (int_bound (List.length steps)))
+  in
+  QCheck.Test.make ~name:"delta equals the suffix's registry" ~count:200
+    (QCheck.make ~print gen)
+    (fun (steps, split) ->
+      let record m = function
+        | Incr (k, by) -> Metrics.incr m (Printf.sprintf "c%d" k) ~by
+        | Observe (k, v) -> Metrics.observe m (Printf.sprintf "h%d" k) v
+      in
+      let m = Metrics.create () and suffix = Metrics.create () in
+      List.iteri (fun i s -> if i < split then record m s) steps;
+      let before = capture m in
+      List.iteri
+        (fun i s ->
+          if i >= split then begin
+            record m s;
+            record suffix s
+          end)
+        steps;
+      let d = Metrics.delta ~before ~after:m in
+      let buckets m name =
+        match Metrics.view m name with
+        | Some (Metrics.V_hist h) ->
+            List.filter (fun (_, c) -> c > 0) h.Metrics.hv_buckets
+        | _ -> []
+      in
+      let same m1 m2 =
+        List.for_all
+          (fun k ->
+            let c = Printf.sprintf "c%d" k and h = Printf.sprintf "h%d" k in
+            Metrics.counter m1 c = Metrics.counter m2 c
+            && Metrics.hist_count m1 h = Metrics.hist_count m2 h
+            && buckets m1 h = buckets m2 h)
+          [ 0; 1; 2 ]
+      in
+      (* A restart: the new incarnation recorded only the suffix, so
+         every reading is below the old incarnation's last capture. *)
+      List.iter
+        (fun k ->
+          Metrics.incr m (Printf.sprintf "c%d" k);
+          Metrics.observe m (Printf.sprintf "h%d" k) 1.0)
+        [ 0; 1; 2 ];
+      let restarted = Metrics.delta ~before:m ~after:suffix in
+      let json r = Json.to_string (Metrics.to_json ~include_zeros:true r) in
+      same d suffix && json restarted = json suffix)
 let test_snapshot_quantiles_known () =
   let m = Metrics.create () in
   (* A point mass: every quantile is the exact observed value. *)
   for _ = 1 to 100 do
     Metrics.observe m "point" 42.0
   done;
-  let s = Snapshot.of_metrics m in
-  check_float "point mass p50" 42.0 (Snapshot.quantile s "point" 0.5);
-  check_float "point mass p99" 42.0 (Snapshot.quantile s "point" 0.99);
+  let s = capture m in
+  check_float "point mass p50" 42.0 (Metrics.quantile s "point" 0.5);
+  check_float "point mass p99" 42.0 (Metrics.quantile s "point" 0.99);
   (* A 9:1 bimodal mix: p50 near the low mode, p99 at the high one. *)
   let m2 = Metrics.create () in
   for _ = 1 to 90 do
@@ -208,9 +283,9 @@ let test_snapshot_quantiles_known () =
   for _ = 1 to 10 do
     Metrics.observe m2 "bi" 1000.0
   done;
-  let s2 = Snapshot.of_metrics m2 in
-  let p50 = Snapshot.quantile s2 "bi" 0.5 in
-  let p99 = Snapshot.quantile s2 "bi" 0.99 in
+  let s2 = capture m2 in
+  let p50 = Metrics.quantile s2 "bi" 0.5 in
+  let p99 = Metrics.quantile s2 "bi" 0.99 in
   Alcotest.(check bool)
     (Printf.sprintf "bimodal p50 %.2f stays at the low mode" p50)
     true
@@ -218,7 +293,7 @@ let test_snapshot_quantiles_known () =
   check_float "bimodal p99 clamps to max" 1000.0 p99;
   Alcotest.(check bool)
     "absent histogram quantile is nan" true
-    (Float.is_nan (Snapshot.quantile s2 "nope" 0.5))
+    (Float.is_nan (Metrics.quantile s2 "nope" 0.5))
 
 let test_include_zeros () =
   let m = Metrics.create () in
@@ -232,13 +307,14 @@ let test_include_zeros () =
     "default drops zero counters" false
     (contains default "\"dead\"");
   check_contains "include_zeros keeps zero counters" kept "\"dead\"";
-  (* Snapshot exposition honours the same flag. *)
-  let s = Snapshot.of_metrics m in
+  (* A capture keeps the zero entries, so its exposition honours the
+     same flag. *)
+  let s = capture m in
   Alcotest.(check bool)
     "snapshot default drops zeros too" false
-    (contains (Json.to_string (Snapshot.to_json s)) "\"dead\"");
+    (contains (Json.to_string (Metrics.to_json s)) "\"dead\"");
   check_contains "snapshot include_zeros"
-    (Json.to_string (Snapshot.to_json ~include_zeros:true s))
+    (Json.to_string (Metrics.to_json ~include_zeros:true s))
     "\"dead\""
 
 let test_prometheus_exposition () =
@@ -248,10 +324,7 @@ let test_prometheus_exposition () =
   Metrics.observe m "server.latency_ms" 0.5;
   Metrics.observe m "server.latency_ms" 2.0;
   Metrics.observe m "server.latency_ms" 100.0;
-  let s = Snapshot.of_metrics m in
-  let text =
-    Snapshot.to_prometheus ~labels:[ ("node", "a\\b\"c\nd") ] s
-  in
+  let text = Metrics.to_prometheus ~labels:[ ("node", "a\\b\"c\nd") ] m in
   (* Dotted names sanitise to the exposition charset, under the gcs_
      namespace. *)
   check_contains "counter TYPE" text "# TYPE gcs_abcast_delivered counter";
@@ -284,6 +357,31 @@ let test_prometheus_exposition () =
             Alcotest.(check bool) "bucket below count" true (c <= 3.0)
         | None -> Alcotest.fail "unparseable bucket line")
     (String.split_on_char '\n' text)
+
+(* The exact text loopback_smoke.sh and outside scrapers parse: a counter,
+   a gauge, a three-sample histogram and a label value that needs every
+   escape. *)
+let test_prometheus_golden () =
+  let m = Metrics.create () in
+  Metrics.incr m "abcast.delivered" ~by:12;
+  Metrics.set_gauge m "evloop.open_fds" 9.0;
+  Metrics.observe m "server.latency_ms" 0.5;
+  Metrics.observe m "server.latency_ms" 2.0;
+  Metrics.observe m "server.latency_ms" 100.0;
+  Alcotest.(check string)
+    "prometheus text" {|# TYPE gcs_abcast_delivered counter
+gcs_abcast_delivered{node="a\\b\"c\nd"} 12
+# TYPE gcs_evloop_open_fds gauge
+gcs_evloop_open_fds{node="a\\b\"c\nd"} 9
+# TYPE gcs_server_latency_ms histogram
+gcs_server_latency_ms_bucket{node="a\\b\"c\nd",le="0.512"} 1
+gcs_server_latency_ms_bucket{node="a\\b\"c\nd",le="2.048"} 2
+gcs_server_latency_ms_bucket{node="a\\b\"c\nd",le="110.217975"} 3
+gcs_server_latency_ms_bucket{node="a\\b\"c\nd",le="+Inf"} 3
+gcs_server_latency_ms_sum{node="a\\b\"c\nd"} 102.5
+gcs_server_latency_ms_count{node="a\\b\"c\nd"} 3
+|}
+    (Metrics.to_prometheus ~labels:[ ("node", "a\\b\"c\nd") ] m)
 
 (* ---------- trace capacity and structured emission ---------- *)
 
@@ -390,11 +488,14 @@ let suite =
         Alcotest.test_case "snapshot delta" `Quick test_snapshot_delta;
         Alcotest.test_case "snapshot counter reset" `Quick
           test_snapshot_counter_reset;
+        QCheck_alcotest.to_alcotest prop_delta_is_suffix;
         Alcotest.test_case "snapshot quantiles on known distributions" `Quick
           test_snapshot_quantiles_known;
         Alcotest.test_case "to_json include_zeros" `Quick test_include_zeros;
         Alcotest.test_case "prometheus exposition" `Quick
           test_prometheus_exposition;
+        Alcotest.test_case "prometheus golden text" `Quick
+          test_prometheus_golden;
         Alcotest.test_case "trace capacity eviction" `Quick test_trace_capacity;
         Alcotest.test_case "structured emit" `Quick test_structured_emit;
         Alcotest.test_case "rbcast uses fewer consensus instances" `Quick

@@ -7,7 +7,7 @@ module Netsim = Gc_net.Netsim
 module Trace = Gc_sim.Trace
 module View = Gc_membership.View
 module Sm = Gc_replication.State_machine
-module Active = Gc_replication.Active
+module Active_gb = Gc_replication.Active_gb
 module Passive = Gc_replication.Passive
 module Passive_vs = Gc_replication.Passive_vs
 module Client = Gc_replication.Client
@@ -81,14 +81,16 @@ let world ~n_replicas ~n_clients ~seed =
 let deposit a k = Sm.Bank.Deposit { account = a; amount = k }
 let withdraw a k = Sm.Bank.Withdraw { account = a; amount = k }
 
-(* ---------- active replication ---------- *)
+(* ---------- active replication: generic broadcast with every command
+   ordered is atomic broadcast (paper Section 4.2) ---------- *)
 
 let test_active_basic () =
   let engine, trace, net, replicas = world ~n_replicas:3 ~n_clients:1 ~seed:1L in
   let servers =
     List.map
       (fun id ->
-        Active.create (Gc_kernel.Runtime.of_netsim net ~trace) ~id ~initial:replicas ~make_sm:Sm.Bank.make ())
+        Active_gb.create (Gc_kernel.Runtime.of_netsim net ~trace) ~id ~initial:replicas
+          ~classify:(fun _ -> Gc_gbcast.Conflict.Ordered) ~make_sm:Sm.Bank.make ())
       replicas
   in
   let client = Client.create (Gc_kernel.Runtime.of_netsim net ~trace) ~id:3 ~replicas () in
@@ -101,7 +103,7 @@ let test_active_basic () =
   check_int "five replies" 5 (List.length !replies);
   check_int "no retries needed" 0 (Client.retries client);
   (* All replicas applied all commands and share one state. *)
-  let snaps = List.map Active.snapshot servers in
+  let snaps = List.map Active_gb.snapshot servers in
   List.iter
     (fun s -> Alcotest.(check bool) "replicas agree" true (s = List.hd snaps))
     snaps;
@@ -115,7 +117,8 @@ let test_active_contact_crash_exactly_once () =
       let servers =
         List.map
           (fun id ->
-            Active.create (Gc_kernel.Runtime.of_netsim net ~trace) ~id ~initial:replicas ~make_sm:Sm.Bank.make ())
+            Active_gb.create (Gc_kernel.Runtime.of_netsim net ~trace) ~id ~initial:replicas
+              ~classify:(fun _ -> Gc_gbcast.Conflict.Ordered) ~make_sm:Sm.Bank.make ())
           replicas
       in
       let client = Client.create (Gc_kernel.Runtime.of_netsim net ~trace) ~id:3 ~replicas ~timeout:400.0 () in
@@ -127,11 +130,11 @@ let test_active_contact_crash_exactly_once () =
          exactly-once semantics either way. *)
       ignore
         (Engine.schedule engine ~delay:2.0 (fun () ->
-             Active.crash (List.hd servers)));
+             Active_gb.crash (List.hd servers)));
       Engine.run ~until:60_000.0 engine;
       check_int "exactly one reply" 1 !got;
       let survivors = List.tl servers in
-      let snaps = List.map Active.snapshot survivors in
+      let snaps = List.map Active_gb.snapshot survivors in
       List.iter
         (fun s ->
           match s with

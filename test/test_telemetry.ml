@@ -15,7 +15,6 @@ module Telemetry = Gc_server.Telemetry
 module Stack = Gcs.Gcs_stack
 module Metrics = Gc_obs.Metrics
 module Json = Gc_obs.Json
-module Snapshot = Gc_obs.Snapshot
 
 let nodes = 3
 
@@ -142,21 +141,21 @@ let test_stats_endpoint () =
       Alcotest.(check (option (float 1e-9)))
         (what ^ " commuting applies") (Some 18.0)
         (Json.to_float (member_exn what "commuting" kv));
-      let snap = Snapshot.of_json (member_exn what "metrics" j) in
+      let snap = Metrics.of_json (member_exn what "metrics" j) in
       Alcotest.(check bool)
         (what ^ " delivered abcast traffic") true
-        (Snapshot.counter snap "abcast.delivered" > 0);
+        (Metrics.counter snap "abcast.delivered" > 0);
       Alcotest.(check bool)
         (what ^ " counted applies") true
-        (Snapshot.counter snap "server.applied" >= 24);
+        (Metrics.counter snap "server.applied" >= 24);
       (* Every node originated 8 of the 24 ops: its submit->deliver
          histogram holds exactly those, with a finite estimate. *)
       Alcotest.(check int)
         (what ^ " latency histogram size") 8
-        (Snapshot.hist_count snap "server.latency_ms");
+        (Metrics.hist_count snap "server.latency_ms");
       Alcotest.(check bool)
         (what ^ " latency p99 finite") true
-        (Float.is_finite (Snapshot.quantile snap "server.latency_ms" 0.99)))
+        (Float.is_finite (Metrics.quantile snap "server.latency_ms" 0.99)))
     stats;
   (* Replicas agree: same order digest everywhere. *)
   let digest i =
@@ -252,17 +251,17 @@ let test_telemetry_writer () =
         | Some ts -> ts > 1.0e9
         | None -> false);
       let stats = member_exn "line" "stats" j in
-      ignore (Snapshot.of_json (member_exn "stats" "metrics" stats)))
+      ignore (Metrics.of_json (member_exn "stats" "metrics" stats)))
     lines;
   (* The last snapshot saw the traffic. *)
   let last = Json.of_string (List.nth lines (List.length lines - 1)) in
   let snap =
-    Snapshot.of_json
+    Metrics.of_json
       (member_exn "stats" "metrics" (member_exn "line" "stats" last))
   in
   Alcotest.(check bool)
     "final snapshot counted applies" true
-    (Snapshot.counter snap "server.applied" >= 8);
+    (Metrics.counter snap "server.applied" >= 8);
   (* A restarted writer appends rather than truncating. *)
   let tl2 =
     Telemetry.start ~loop:h.loop ~server:h.servers.(0) ~interval_ms:10.0
