@@ -8,7 +8,6 @@ type msg = {
   origin : int;
   mseq : int;
   body : Gc_net.Payload.t;
-  size : int;
   sent_at : float; (* virtual submit time at the origin, for latency metrics *)
 }
 
@@ -63,17 +62,15 @@ let () =
   let write_msg enc w m =
     W.varint w m.origin;
     W.varint w m.mseq;
-    W.varint w m.size;
     W.f64 w m.sent_at;
     enc w m.body
   in
   let read_msg dec r =
     let origin = W.read_varint r in
     let mseq = W.read_varint r in
-    let size = W.read_varint r in
     let sent_at = W.read_f64 r in
     let body = dec r in
-    { origin; mseq; size; sent_at; body }
+    { origin; mseq; sent_at; body }
   in
   Gc_net.Payload.register_codec ~tag:"ab"
     ~encode:(fun enc w p ->
@@ -235,11 +232,8 @@ let create proc ~rc ~rb ~fd ?(suspect_timeout = 200.0) ?(adaptive = false)
          ~max_batch:batch_max ~max_delay:batch_delay
          ~emit:(fun ms ->
            match ms with
-           | [ m ] ->
-               Rb.broadcast t.rb ~size:m.size ~dests:t.member_list (Ab_data m)
-           | ms ->
-               let size = List.fold_left (fun a m -> a + m.size) 16 ms in
-               Rb.broadcast t.rb ~size ~dests:t.member_list (Ab_submit ms))
+           | [ m ] -> Rb.broadcast t.rb ~dests:t.member_list (Ab_data m)
+           | ms -> Rb.broadcast t.rb ~dests:t.member_list (Ab_submit ms))
          ());
   Process.incr ~by:0 proc "abcast.delivered";
   let consensus =
@@ -280,14 +274,13 @@ let create proc ~rc ~rb ~fd ?(suspect_timeout = 200.0) ?(adaptive = false)
       | _ -> ());
   t
 
-let abcast t ?(size = 64) body =
+let abcast t body =
   if member t then begin
     let m =
       {
         origin = Process.id t.proc;
         mseq = t.next_mseq;
         body;
-        size;
         sent_at = Process.now t.proc;
       }
     in
@@ -299,7 +292,7 @@ let abcast t ?(size = 64) body =
         ();
     match t.submit_batch with
     | Some b -> Batcher.add b m
-    | None -> Rb.broadcast t.rb ~size ~dests:t.member_list (Ab_data m)
+    | None -> Rb.broadcast t.rb ~dests:t.member_list (Ab_data m)
   end
 
 let flush t = match t.submit_batch with Some b -> Batcher.flush b | None -> ()

@@ -56,7 +56,7 @@ val create :
     batched (the whole pending set per instance); this batches the {e
     submission} side too. *)
 
-val abcast : t -> ?size:int -> Gc_net.Payload.t -> unit
+val abcast : t -> Gc_net.Payload.t -> unit
 (** Broadcast [payload] to the current members with total-order delivery.
     No-op if this process is not currently a member. *)
 

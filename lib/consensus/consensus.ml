@@ -408,7 +408,7 @@ let propose t ~inst ~members v =
         Array.iter
           (fun q ->
             if q <> Process.id t.proc then
-              Rc.send t.rc ~size:16 ~dst:q (Cs_start { inst }))
+              Rc.send t.rc ~dst:q (Cs_start { inst }))
           members_arr;
         enter_round t inst st 1;
         (* Replay traffic that arrived before we started. *)

@@ -292,11 +292,11 @@ let create runtime ?metrics ~id ~initial ?(config = default_config)
       | _ -> ());
   t
 
-let abcast t ?size body =
-  Gb.gbcast t.gb ?size (Gcs_app { klass = Conflict.Ordered; body })
+let abcast t body =
+  Gb.gbcast t.gb (Gcs_app { klass = Conflict.Ordered; body })
 
-let rbcast t ?size body =
-  Gb.gbcast t.gb ?size (Gcs_app { klass = Conflict.Commuting; body })
+let rbcast t body =
+  Gb.gbcast t.gb (Gcs_app { klass = Conflict.Commuting; body })
 
 let on_deliver t f = t.subscribers <- f :: t.subscribers
 

@@ -165,10 +165,10 @@ val create :
 
 (** {1 Broadcast (generic broadcast: Section 3.3)} *)
 
-val abcast : t -> ?size:int -> Gc_net.Payload.t -> unit
+val abcast : t -> Gc_net.Payload.t -> unit
 (** Totally-ordered broadcast to the current view. *)
 
-val rbcast : t -> ?size:int -> Gc_net.Payload.t -> unit
+val rbcast : t -> Gc_net.Payload.t -> unit
 (** Reliable broadcast: unordered against other [rbcast] messages (fast path,
     no consensus), totally ordered against [abcast] messages and view
     changes. *)

@@ -134,7 +134,7 @@ let create proc ?(hb_period = 20.0) ~peers () =
   ignore
     (Process.every proc ~period:hb_period (fun () ->
          List.iter
-           (fun q -> Process.send proc ~size:16 ~dst:q Heartbeat)
+           (fun q -> Process.send proc ~dst:q Heartbeat)
            t.peer_list));
   t
 

@@ -10,7 +10,6 @@ type msg = {
   origin : int;
   gseq : int;
   body : Gc_net.Payload.t;
-  size : int;
   sent_at : float; (* virtual submit time at the origin, for latency metrics *)
 }
 
@@ -57,17 +56,15 @@ let () =
   let write_msg enc w m =
     W.varint w m.origin;
     W.varint w m.gseq;
-    W.varint w m.size;
     W.f64 w m.sent_at;
     enc w m.body
   in
   let read_msg dec r =
     let origin = W.read_varint r in
     let gseq = W.read_varint r in
-    let size = W.read_varint r in
     let sent_at = W.read_f64 r in
     let body = dec r in
-    { origin; gseq; size; sent_at; body }
+    { origin; gseq; sent_at; body }
   in
   let write_ack w ((o, s), stage) =
     W.triple w W.varint W.varint W.varint (o, s, stage)
@@ -193,9 +190,9 @@ let chk_quorum t =
 
 let member t = List.mem (Process.id t.proc) t.member_list
 
-let send_all t ?size payload =
+let send_all t payload =
   let me = Process.id t.proc in
-  List.iter (fun q -> if q <> me then Rc.send t.rc ?size ~dst:q payload)
+  List.iter (fun q -> if q <> me then Rc.send t.rc ~dst:q payload)
     t.member_list
 
 let note_occupancy t =
@@ -441,7 +438,7 @@ let rec examine t m =
       Hashtbl.replace (ack_set t id t.stage) (Process.id t.proc) ();
       (match t.ack_batch with
       | Some b -> Batcher.add b (id, t.stage)
-      | None -> send_all t ~size:24 (Gb_ack { id; stage = t.stage }));
+      | None -> send_all t (Gb_ack { id; stage = t.stage }));
       try_fast_deliver t id
     end
   end
@@ -564,11 +561,8 @@ let create proc ~rc ~rb ~ab ~conflict ?(ack_mode = Two_thirds)
          ~max_delay:batch_delay
          ~emit:(fun ms ->
            match ms with
-           | [ m ] ->
-               Rb.broadcast t.rb ~size:m.size ~dests:t.member_list (Gb_fast m)
-           | ms ->
-               let size = List.fold_left (fun a m -> a + m.size) 16 ms in
-               Rb.broadcast t.rb ~size ~dests:t.member_list (Gb_fast_batch ms))
+           | [ m ] -> Rb.broadcast t.rb ~dests:t.member_list (Gb_fast m)
+           | ms -> Rb.broadcast t.rb ~dests:t.member_list (Gb_fast_batch ms))
          ());
   (* Acks only batch when submissions do: with [batch_max = 1] the wire
      traffic stays exactly the per-message [Gb_ack] of the unbatched
@@ -580,11 +574,8 @@ let create proc ~rc ~rb ~ab ~conflict ?(ack_mode = Two_thirds)
            ~max_batch:(max batch_max 16) ~max_delay:batch_delay
            ~emit:(fun l ->
              match l with
-             | [ (id, stage) ] -> send_all t ~size:24 (Gb_ack { id; stage })
-             | l ->
-                 send_all t
-                   ~size:(16 + (8 * List.length l))
-                   (Gb_acks l))
+             | [ (id, stage) ] -> send_all t (Gb_ack { id; stage })
+             | l -> send_all t (Gb_acks l))
            ());
   Rb.on_deliver rb (fun ~origin:_ payload ->
       match payload with
@@ -648,14 +639,13 @@ let create proc ~rc ~rb ~ab ~conflict ?(ack_mode = Two_thirds)
       | _ -> ());
   t
 
-let gbcast t ?(size = 64) body =
+let gbcast t body =
   if member t then begin
     let m =
       {
         origin = Process.id t.proc;
         gseq = t.next_gseq;
         body;
-        size;
         sent_at = Process.now t.proc;
       }
     in
@@ -667,7 +657,7 @@ let gbcast t ?(size = 64) body =
         ();
     match t.submit_batch with
     | Some b -> Batcher.add b m
-    | None -> Rb.broadcast t.rb ~size ~dests:t.member_list (Gb_fast m)
+    | None -> Rb.broadcast t.rb ~dests:t.member_list (Gb_fast m)
   end
 
 let flush t =

@@ -104,7 +104,7 @@ val create :
     {!Gc_kernel.Delivered_set.first_seq}[ ~epoch], above every previous
     incarnation's. *)
 
-val gbcast : t -> ?size:int -> Gc_net.Payload.t -> unit
+val gbcast : t -> Gc_net.Payload.t -> unit
 (** Generic-broadcast [payload] to the current members. *)
 
 val on_deliver : t -> (origin:int -> Gc_net.Payload.t -> unit) -> unit

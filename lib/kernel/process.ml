@@ -41,8 +41,8 @@ let oracle_alive t q = t.runtime.Runtime.oracle_alive q
 let rand_float t bound = t.rng.Runtime.rand_float bound
 let rand_int t bound = t.rng.Runtime.rand_int bound
 
-let send t ?size ~dst payload =
-  if t.alive then t.runtime.Runtime.send ?size ~src:t.id ~dst payload
+let send t ~dst payload =
+  if t.alive then t.runtime.Runtime.send ~src:t.id ~dst payload
 
 let on_receive t f = t.subscribers <- f :: t.subscribers
 

@@ -45,7 +45,7 @@ val rand_float : t -> float -> float
 val rand_int : t -> int -> int
 (** Uniform draw in [\[0, bound)] (positive [bound]). *)
 
-val send : t -> ?size:int -> dst:int -> Gc_net.Payload.t -> unit
+val send : t -> dst:int -> Gc_net.Payload.t -> unit
 (** Unreliable datagram send ([u-send] in Figure 9 of the paper).  No-op if
     the process is dead. *)
 

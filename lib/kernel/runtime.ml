@@ -8,7 +8,7 @@ type t = {
   backend : string;
   now : unit -> float;
   schedule : delay:float -> (unit -> unit) -> timer;
-  send : ?size:int -> src:int -> dst:int -> Gc_net.Payload.t -> unit;
+  send : src:int -> dst:int -> Gc_net.Payload.t -> unit;
   register : node:int -> (src:int -> Gc_net.Payload.t -> unit) -> unit;
   detach : int -> unit;
   oracle_alive : int -> bool;
@@ -25,7 +25,7 @@ let of_netsim net ~trace =
       (fun ~delay f ->
         let h = Gc_sim.Engine.schedule engine ~delay f in
         { cancel = (fun () -> Gc_sim.Engine.cancel h) });
-    send = (fun ?size ~src ~dst p -> Gc_net.Netsim.send net ?size ~src ~dst p);
+    send = Gc_net.Netsim.send net;
     register = (fun ~node f -> Gc_net.Netsim.register net ~node f);
     detach = (fun node -> Gc_net.Netsim.crash net node);
     oracle_alive = (fun node -> Gc_net.Netsim.alive net node);

@@ -34,7 +34,7 @@ type t = {
       since runtime start on the unix backend *)
   schedule : delay:float -> (unit -> unit) -> timer;
   (** run the callback [delay] ms from now *)
-  send : ?size:int -> src:int -> dst:int -> Gc_net.Payload.t -> unit;
+  send : src:int -> dst:int -> Gc_net.Payload.t -> unit;
   (** unreliable datagram; fire-and-forget, may drop silently *)
   register : node:int -> (src:int -> Gc_net.Payload.t -> unit) -> unit;
   (** install the receive handler for a local node (replaces any prior) *)

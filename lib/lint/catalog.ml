@@ -354,11 +354,10 @@ let metrics =
     c "evloop.ticks"; h "evloop.select_wait_ms"; h "evloop.callback_ms";
     h "evloop.tick_ms"; h "evloop.timer_lag_ms"; c "evloop.timer_overdue";
     g "evloop.open_fds";
-    (* wire transport (framing + TCP backend + simulated net) *)
+    (* wire transport (framing + TCP backend) *)
     c "net.frames_in"; c "net.frames_out"; c "net.bytes_in";
     c "net.bytes_out"; c "net.writes"; c "net.frame_reject"; c "net.reconnects";
-    c "net.tx_drop"; c "net.tx_oversize"; c "net.dropped_gone"; c "net.dropped_policy";
-    c "net.duplicated";
+    c "net.tx_drop"; c "net.tx_oversize";
     (* durable delivery log (Storage seam + file backend) *)
     c "storage.appends"; c "storage.syncs"; c "storage.snapshots";
     c "storage.truncations"; c "storage.torn_tail_dropped";

@@ -129,7 +129,7 @@ let handle_change t ~adds ~removes ~sponsor =
                     the joiner resumes from a consistent point of the total
                     order. *)
                  let snapshot = Option.map (fun f -> f ()) t.state_provider in
-                 Rc.send t.rc ~size:4096 ~dst:p
+                 Rc.send t.rc ~dst:p
                    (Mb_state { view = t.current; snapshot }))))
         adds
   end
@@ -186,7 +186,7 @@ let create proc ~rc ~transport ?(state_transfer_delay = 0.0) ?state_provider
               ignore
                 (Process.timer t.proc ~delay:t.state_transfer_delay (fun () ->
                      let snapshot = Option.map (fun f -> f ()) t.state_provider in
-                     Rc.send t.rc ~size:4096 ~dst:p
+                     Rc.send t.rc ~dst:p
                        (Mb_state { view = t.current; snapshot })))
             end
       | Mb_state { view; snapshot } ->
@@ -218,7 +218,7 @@ let join ?(force = false) t ~via =
   if not t.joined then begin
     if t.join_requested_at = None then
       t.join_requested_at <- Some (Process.now t.proc);
-    Rc.send t.rc ~size:32 ~dst:via (Mb_join_req { p = me t })
+    Rc.send t.rc ~dst:via (Mb_join_req { p = me t })
   end
 
 let add t p =

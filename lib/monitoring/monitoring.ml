@@ -86,7 +86,7 @@ let threshold_met t k q =
 let gossip t payload =
   let me = Process.id t.proc in
   List.iter
-    (fun m -> if m <> me then Rc.send t.rc ~size:24 ~dst:m payload)
+    (fun m -> if m <> me then Rc.send t.rc ~dst:m payload)
     (Gm.view t.membership).members
 
 let on_own_suspicion t q =

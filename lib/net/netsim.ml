@@ -11,7 +11,6 @@ type link = {
 type t = {
   engine : Engine.t;
   trace : Trace.t;
-  metrics : Gc_obs.Metrics.t option;
   rng : Rng.t;
   n : int;
   links : link array array; (* links.(src).(dst) *)
@@ -25,15 +24,13 @@ type t = {
   mutable dropped_policy : int; (* lossy link, partition boundary *)
   mutable dropped_gone : int; (* dead endpoint, missing handler *)
   mutable duplicated : int;
-  mutable bytes : int;
 }
 
-let create engine ?(trace = Trace.create ()) ?metrics ?(delay = Delay.lan)
+let create engine ?(trace = Trace.create ()) ?(delay = Delay.lan)
     ?(drop = 0.0) ?(dup = 0.0) ~n () =
   {
     engine;
     trace;
-    metrics;
     rng = Engine.split_rng engine;
     n;
     links =
@@ -48,24 +45,13 @@ let create engine ?(trace = Trace.create ()) ?metrics ?(delay = Delay.lan)
     dropped_policy = 0;
     dropped_gone = 0;
     duplicated = 0;
-    bytes = 0;
   }
 
 let engine t = t.engine
 let size t = t.n
 
-let bump t name =
-  match t.metrics with
-  | Some m -> Gc_obs.Metrics.incr m name
-  | None -> ()
-
-let drop_policy t =
-  t.dropped_policy <- t.dropped_policy + 1;
-  bump t "net.dropped_policy"
-
-let drop_gone t =
-  t.dropped_gone <- t.dropped_gone + 1;
-  bump t "net.dropped_gone"
+let drop_policy t = t.dropped_policy <- t.dropped_policy + 1
+let drop_gone t = t.dropped_gone <- t.dropped_gone + 1
 
 let check_node t node name =
   if node < 0 || node >= t.n then
@@ -148,11 +134,10 @@ let same_side t src dst =
   | None -> true
   | Some g -> g.(src) = g.(dst)
 
-let send t ?(size = 64) ~src ~dst payload =
+let send t ~src ~dst payload =
   check_node t src "send";
   check_node t dst "send";
   t.sent <- t.sent + 1;
-  t.bytes <- t.bytes + size;
   let link = t.links.(src).(dst) in
   (* Keep the guard order (and hence the RNG consumption pattern) stable:
      the drop coin is only tossed for messages both endpoints could carry,
@@ -194,7 +179,6 @@ let send t ?(size = 64) ~src ~dst payload =
     schedule_copy ();
     if link.dup > 0.0 && Rng.bernoulli t.rng link.dup then begin
       t.duplicated <- t.duplicated + 1;
-      bump t "net.duplicated";
       schedule_copy ()
     end
   end
@@ -205,12 +189,10 @@ let messages_dropped t = t.dropped_policy + t.dropped_gone
 let messages_dropped_policy t = t.dropped_policy
 let messages_dropped_gone t = t.dropped_gone
 let messages_duplicated t = t.duplicated
-let bytes_sent t = t.bytes
 
 let reset_counters t =
   t.sent <- 0;
   t.delivered <- 0;
   t.dropped_policy <- 0;
   t.dropped_gone <- 0;
-  t.duplicated <- 0;
-  t.bytes <- 0
+  t.duplicated <- 0

@@ -26,7 +26,6 @@ type t
 val create :
   Gc_sim.Engine.t ->
   ?trace:Gc_sim.Trace.t ->
-  ?metrics:Gc_obs.Metrics.t ->
   ?delay:Delay.t ->
   ?drop:float ->
   ?dup:float ->
@@ -35,11 +34,7 @@ val create :
   t
 (** [create engine ~n ()] builds a network of nodes [0 .. n-1].  [delay]
     (default {!Delay.lan}), [drop] (default [0.]) and [dup] (default [0.])
-    apply to every link unless overridden with {!set_link}.  When [metrics]
-    is given, the traffic counters are mirrored into it as [net.*] counters
-    ({!messages_dropped_policy} → ["net.dropped_policy"],
-    {!messages_dropped_gone} → ["net.dropped_gone"],
-    {!messages_duplicated} → ["net.duplicated"]). *)
+    apply to every link unless overridden with {!set_link}. *)
 
 val engine : t -> Gc_sim.Engine.t
 val size : t -> int
@@ -49,10 +44,10 @@ val register : t -> node:int -> (src:int -> Payload.t -> unit) -> unit
     registering again replaces it (used when a process restarts as a fresh
     incarnation). *)
 
-val send : t -> ?size:int -> src:int -> dst:int -> Payload.t -> unit
-(** Fire-and-forget datagram.  [size] (bytes, default 64) only feeds the
-    traffic accounting.  Sends from crashed nodes, to crashed nodes, or
-    across a partition boundary are silently dropped. *)
+val send : t -> src:int -> dst:int -> Payload.t -> unit
+(** Fire-and-forget datagram, counted by {!messages_sent}.  Sends from
+    crashed nodes, to crashed nodes, or across a partition boundary are
+    silently dropped. *)
 
 val crash : t -> int -> unit
 (** Crash [node]: all future sends and deliveries involving it are
@@ -116,7 +111,5 @@ val messages_dropped_gone : t -> int
 
 val messages_duplicated : t -> int
 (** Extra copies injected by link duplication. *)
-
-val bytes_sent : t -> int
 
 val reset_counters : t -> unit

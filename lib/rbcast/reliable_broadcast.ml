@@ -8,7 +8,6 @@ type Gc_net.Payload.t +=
       bid : int;
       inner : Gc_net.Payload.t;
       dests : int list;
-      size : int;
     }
 
 let () =
@@ -24,10 +23,9 @@ let () =
   Gc_net.Payload.register_codec ~tag:"rb"
     ~encode:(fun enc w p ->
       match p with
-      | Rb_msg { origin; bid; inner; dests; size } ->
+      | Rb_msg { origin; bid; inner; dests } ->
           W.varint w origin;
           W.varint w bid;
-          W.varint w size;
           W.list w W.varint dests;
           enc w inner;
           true
@@ -35,10 +33,9 @@ let () =
     ~decode:(fun dec r ->
       let origin = W.read_varint r in
       let bid = W.read_varint r in
-      let size = W.read_varint r in
       let dests = W.read_list r W.read_varint in
       let inner = dec r in
-      Rb_msg { origin; bid; inner; dests; size })
+      Rb_msg { origin; bid; inner; dests })
 
 type t = {
   proc : Process.t;
@@ -55,15 +52,13 @@ let deliver t ~origin inner =
   List.iter (fun f -> f ~origin inner) (List.rev t.subscribers)
 
 let handle t = function
-  | Rb_msg { origin; bid; inner; dests; size } ->
+  | Rb_msg { origin; bid; inner; dests } as msg ->
       if Delivered.add t.seen (origin, bid) then begin
         (* Relay before delivering: if we deliver, every correct destination
            has the message in some correct process's reliable channel. *)
         let me = Process.id t.proc in
         List.iter
-          (fun dst ->
-            if dst <> me && dst <> origin then
-              Rc.send t.rc ~size ~dst (Rb_msg { origin; bid; inner; dests; size }))
+          (fun dst -> if dst <> me && dst <> origin then Rc.send t.rc ~dst msg)
           dests;
         if List.mem me dests || me = origin then begin
           if Process.traced t.proc then
@@ -89,7 +84,7 @@ let create proc ?(epoch = 0) rc =
   Rc.on_deliver rc (fun ~src:_ payload -> handle t payload);
   t
 
-let broadcast t ?(size = 64) ~dests inner =
+let broadcast t ~dests inner =
   Process.incr t.proc "rbcast.broadcasts";
   let origin = Process.id t.proc in
   let bid = t.next_bid in
@@ -99,10 +94,10 @@ let broadcast t ?(size = 64) ~dests inner =
       ~msg:(Printf.sprintf "rb:%d.%d" origin bid)
       ~attrs:[ ("dests", string_of_int (List.length dests)) ]
       ();
-  let msg = Rb_msg { origin; bid; inner; dests; size } in
+  let msg = Rb_msg { origin; bid; inner; dests } in
   (* Routing through our own reliable channel (loopback included) funnels the
      message into [handle], which relays and delivers exactly once. *)
-  Rc.send t.rc ~size ~dst:origin msg
+  Rc.send t.rc ~dst:origin msg
 
 let on_deliver t f = t.subscribers <- f :: t.subscribers
 let delivered_count t = t.delivered

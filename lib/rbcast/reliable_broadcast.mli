@@ -21,7 +21,7 @@ val create : Gc_kernel.Process.t -> ?epoch:int -> Gc_rchannel.Reliable_channel.t
     a restarted process must number its broadcasts above every previous
     incarnation's or peers silently drop its new messages as duplicates. *)
 
-val broadcast : t -> ?size:int -> dests:int list -> Gc_net.Payload.t -> unit
+val broadcast : t -> dests:int list -> Gc_net.Payload.t -> unit
 (** Reliably broadcast to [dests] (the sender should normally be included;
     it then delivers its own message too). *)
 

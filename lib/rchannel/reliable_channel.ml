@@ -7,7 +7,7 @@ module Sorted = Gc_sim.Sorted
    messages were dropped with the old output buffer (the moral equivalent of
    a TCP reset). *)
 type Gc_net.Payload.t +=
-  | Rc_data of { gen : int; seq : int; inner : Gc_net.Payload.t; size : int }
+  | Rc_data of { gen : int; seq : int; inner : Gc_net.Payload.t }
   | Rc_ack of { gen : int; cum : int; repoch : int }
         (* [repoch]: the receiver's boot epoch.  A jump tells the sender its
            peer restarted and lost the incoming stream state, so the acked
@@ -16,7 +16,7 @@ type Gc_net.Payload.t +=
 
 let () =
   Gc_net.Payload.register_printer (function
-    | Rc_data { gen; seq; inner; _ } ->
+    | Rc_data { gen; seq; inner } ->
         Some
           (Printf.sprintf "rc.data#%d.%d(%s)" gen seq
              (Gc_net.Payload.to_string inner))
@@ -28,11 +28,10 @@ let () =
   Gc_net.Payload.register_codec ~tag:"rc"
     ~encode:(fun enc w p ->
       match p with
-      | Rc_data { gen; seq; inner; size } ->
+      | Rc_data { gen; seq; inner } ->
           W.u8 w 0;
           W.varint w gen;
           W.varint w seq;
-          W.varint w size;
           enc w inner;
           true
       | Rc_ack { gen; cum; repoch } ->
@@ -47,9 +46,8 @@ let () =
       | 0 ->
           let gen = W.read_varint r in
           let seq = W.read_varint r in
-          let size = W.read_varint r in
           let inner = dec r in
-          Rc_data { gen; seq; inner; size }
+          Rc_data { gen; seq; inner }
       | 1 ->
           let gen = W.read_varint r in
           let cum = W.read_varint r in
@@ -59,7 +57,6 @@ let () =
 
 type pending = {
   inner : Gc_net.Payload.t;
-  size : int;
   since : float; (* first transmission time *)
   mutable last_tx : float; (* most recent (re)transmission *)
   mutable tries : int; (* retransmissions so far: the backoff exponent *)
@@ -178,7 +175,7 @@ let handle_data t ~src ~gen ~seq ~inner =
     in
     flush ();
     (* Cumulative ack: everything below [expected] has been delivered. *)
-    Process.send t.proc ~size:16 ~dst:src
+    Process.send t.proc ~dst:src
       (Rc_ack { gen = i.gen; cum = i.expected - 1; repoch = t.epoch })
   end
 
@@ -196,8 +193,7 @@ let resend_due t dst (o : outgoing) ~now =
           p.tries <- p.tries + 1;
           incr sent;
           Process.incr t.proc "rchannel.retransmissions";
-          Process.send t.proc ~size:p.size ~dst
-            (Rc_data { gen = o.gen; seq; inner = p.inner; size = p.size })
+          Process.send t.proc ~dst (Rc_data { gen = o.gen; seq; inner = p.inner })
         end;
         true
       end);
@@ -314,13 +310,13 @@ let create proc ?(epoch = 0) ?(rto = 50.0) ?(stuck_after = 10_000.0)
   Process.incr ~by:0 proc "rchannel.stream_resets";
   Process.on_receive proc (fun ~src payload ->
       match payload with
-      | Rc_data { gen; seq; inner; _ } -> handle_data t ~src ~gen ~seq ~inner
+      | Rc_data { gen; seq; inner } -> handle_data t ~src ~gen ~seq ~inner
       | Rc_ack { gen; cum; repoch } -> handle_ack t ~src ~gen ~cum ~repoch
       | _ -> ());
   ignore (Process.every proc ~period:rto (fun () -> retransmit t));
   t
 
-let send t ?(size = 64) ~dst payload =
+let send t ~dst payload =
   if Process.alive t.proc then begin
     Process.incr t.proc "rchannel.sends";
     if dst = Process.id t.proc then begin
@@ -343,7 +339,7 @@ let send t ?(size = 64) ~dst payload =
       let now = Process.now t.proc in
       let seq =
         Window.push o.window
-          { inner = payload; size; since = now; last_tx = now; tries = 0 }
+          { inner = payload; since = now; last_tx = now; tries = 0 }
       in
       note_window t o;
       if Process.traced t.proc then
@@ -351,8 +347,7 @@ let send t ?(size = 64) ~dst payload =
           ~msg:(Printf.sprintf "rc:%d.%d.%d" (Process.id t.proc) o.gen seq)
           ~attrs:[ ("dst", string_of_int dst) ]
           ();
-      Process.send t.proc ~size ~dst
-        (Rc_data { gen = o.gen; seq; inner = payload; size })
+      Process.send t.proc ~dst (Rc_data { gen = o.gen; seq; inner = payload })
     end
   end
 

@@ -47,7 +47,7 @@ val create :
     tick — a large backlog decays instead of storming the network every
     [rto]. *)
 
-val send : t -> ?size:int -> dst:int -> Gc_net.Payload.t -> unit
+val send : t -> dst:int -> Gc_net.Payload.t -> unit
 (** Enqueue [payload] for reliable FIFO delivery at [dst].  Sending to
     yourself delivers locally (via the event queue, not synchronously). *)
 

@@ -141,7 +141,7 @@ let dial t link =
 
 let dial t link = try dial t link with Exit -> ()
 
-let send t ?size:_ ~src ~dst payload =
+let send t ~src ~dst payload =
   if not t.detached then
     if dst = t.me then
       (* Local loopback: defer to a zero-delay timer so delivery never
@@ -182,7 +182,7 @@ let runtime t =
     Runtime.backend = "unix";
     now = (fun () -> Evloop.now t.loop);
     schedule = (fun ~delay f -> Evloop.schedule t.loop ~delay f);
-    send = (fun ?size ~src ~dst p -> send t ?size ~src ~dst p);
+    send = send t;
     register = (fun ~node f -> Hashtbl.replace t.handlers node f);
     detach = (fun node -> if node = t.me then shutdown t);
     oracle_alive = (fun _ -> false);

@@ -80,7 +80,7 @@ type t = {
   mutable active : bool;
   mutable killed : bool;
   (* ordering *)
-  mutable out_queue : (rid * Gc_net.Payload.t * int) list; (* newest first *)
+  mutable out_queue : (rid * Gc_net.Payload.t) list; (* newest first *)
   mutable rid_counter : int;
   mutable last_gseq : int;
   ord_buf : (int, omsg) Hashtbl.t;
@@ -171,16 +171,15 @@ let accept_data t m =
 
 (* ---------- token handling ---------- *)
 
-let send_members t ?size payload =
-  List.iter
-    (fun q -> if q <> me t then Rc.send t.rc ?size ~dst:q payload)
+let send_members t payload =
+  List.iter (fun q -> if q <> me t then Rc.send t.rc ~dst:q payload)
     t.view.View.members
 
 let forward_token t next_gseq =
   match successor t with
   | Some next ->
       t.n_token_passes <- t.n_token_passes + 1;
-      Rc.send t.rc ~size:24 ~dst:next (Tt_token { vid = t.view.View.vid; next_gseq })
+      Rc.send t.rc ~dst:next (Tt_token { vid = t.view.View.vid; next_gseq })
   | None -> ()
 
 let hold_token t next_gseq =
@@ -197,10 +196,10 @@ let hold_token t next_gseq =
     t.out_queue <- List.rev rest;
     let gseq = ref next_gseq in
     List.iter
-      (fun (rid, body, size) ->
+      (fun (rid, body) ->
         let m = { gseq = !gseq; rid; body } in
         incr gseq;
-        send_members t ~size (Tt_data { vid = t.view.View.vid; m });
+        send_members t (Tt_data { vid = t.view.View.vid; m });
         accept_data t m)
       batch;
     let next_gseq = !gseq in
@@ -353,7 +352,7 @@ and check_recovery_complete t =
               (Process.timer t.proc ~delay:t.config.state_transfer_delay
                  (fun () ->
                    let app = Option.map (fun g -> g ()) t.app_state_provider in
-                   Rc.send t.rc ~size:4096 ~dst:p
+                   Rc.send t.rc ~dst:p
                      (Tt_state { view = t.view; last_gseq = t.last_gseq; app }))))
           r.joiners
       end
@@ -533,7 +532,7 @@ let create runtime ~id ~initial ?(config = default_config)
     ignore (Process.timer proc ~delay:1.0 (fun () -> hold_token t 1));
   t
 
-let abcast t ?(size = 64) body =
+let abcast t body =
   if t.active || t.killed then begin
     let rid = (me t, t.rid_counter) in
     t.rid_counter <- t.rid_counter + 1;
@@ -541,7 +540,7 @@ let abcast t ?(size = 64) body =
       Process.event t.proc ~component:"totem" ~kind:Gc_obs.Event.Send
         ~msg:(Printf.sprintf "tt:%d.%d" (fst rid) (snd rid))
         ();
-    t.out_queue <- (rid, body, size) :: t.out_queue
+    t.out_queue <- (rid, body) :: t.out_queue
   end
 
 let join t ~via =

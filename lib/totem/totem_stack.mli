@@ -49,7 +49,7 @@ val create :
   unit ->
   t
 
-val abcast : t -> ?size:int -> Gc_net.Payload.t -> unit
+val abcast : t -> Gc_net.Payload.t -> unit
 (** Queue a message; it is sequenced at the next token visit. *)
 
 val on_deliver : t -> (origin:int -> Gc_net.Payload.t -> unit) -> unit

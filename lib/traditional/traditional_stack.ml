@@ -53,7 +53,7 @@ type Gc_net.Payload.t +=
   | Tr_flreq of { epoch : epoch; proposal : int list }
   | Tr_flresp of { epoch : epoch; unstable : vsmsg list }
   | Tr_install of { epoch : epoch; view : View.t; deliver : vsmsg list }
-  | Tr_seqreq of { rid : rid; body : Gc_net.Payload.t; size : int }
+  | Tr_seqreq of { rid : rid; body : Gc_net.Payload.t }
   | Tr_joinreq of { p : int; rejoin : bool }
   | Tr_leavereq of { p : int }
   | Tr_state of { view : View.t; last_gseq : int; app : Gc_net.Payload.t option }
@@ -109,7 +109,7 @@ type t = {
   ord_buf : (int, rid * Gc_net.Payload.t) Hashtbl.t;
   delivered_rids : (rid, unit) Hashtbl.t;
   mutable rid_counter : int;
-  pending_req : (rid, Gc_net.Payload.t * int) Hashtbl.t;
+  pending_req : (rid, Gc_net.Payload.t) Hashtbl.t;
   assigned_rids : (rid, unit) Hashtbl.t; (* sequencer dedup *)
   (* flush / membership *)
   mutable cur_epoch : epoch;
@@ -160,9 +160,8 @@ let sequencer t = View.primary t.view
 let notify t ~origin ~ordered body =
   List.iter (fun f -> f ~origin ~ordered body) (List.rev t.subscribers)
 
-let send_members t ?size payload =
-  List.iter
-    (fun q -> if q <> me t then Rc.send t.rc ?size ~dst:q payload)
+let send_members t payload =
+  List.iter (fun q -> if q <> me t then Rc.send t.rc ~dst:q payload)
     t.view.View.members
 
 (* Suspicion-filtered membership: the fused FD/membership coupling.  The
@@ -240,7 +239,7 @@ let vs_process t m =
   if not (Hashtbl.mem t.vs_seen m.vsid) then begin
     Hashtbl.replace t.vs_seen m.vsid ();
     track_unstable t m;
-    send_members t ~size:24 (Tr_ack { vsid = m.vsid });
+    send_members t (Tr_ack { vsid = m.vsid });
     check_stable t m.vsid;
     match m.inner with
     | Plain { origin; body } ->
@@ -284,8 +283,7 @@ let fresh_vsid t =
 let enqueue_or t f =
   if (not t.active) || blocked t then t.out_queue <- f :: t.out_queue else f ()
 
-let rec vscast t ?(size = 64) body =
-  ignore size;
+let rec vscast t body =
   enqueue_or t (fun () -> vscast_now t body)
 
 and vscast_now t body =
@@ -303,24 +301,24 @@ let sequence_now t rid body =
   in
   vs_send t m
 
-let rec abcast t ?(size = 64) body =
+let rec abcast t body =
   let rid = (me t, t.rid_counter) in
   t.rid_counter <- t.rid_counter + 1;
   if Process.traced t.proc then
     Process.event t.proc ~component:"traditional" ~kind:Gc_obs.Event.Send
       ~msg:(Printf.sprintf "tr:%d.%d" (fst rid) (snd rid))
       ();
-  Hashtbl.replace t.pending_req rid (body, size);
-  enqueue_or t (fun () -> abcast_route t rid body size)
+  Hashtbl.replace t.pending_req rid body;
+  enqueue_or t (fun () -> abcast_route t rid body)
 
-and abcast_route t rid body size =
+and abcast_route t rid body =
   if Hashtbl.mem t.pending_req rid then
     match sequencer t with
     | Some s when s = me t -> sequence_now t rid body
-    | Some s -> Rc.send t.rc ~size ~dst:s (Tr_seqreq { rid; body; size })
+    | Some s -> Rc.send t.rc ~dst:s (Tr_seqreq { rid; body })
     | None -> ()
 
-let rec handle_seqreq t ~rid ~body ~size =
+let rec handle_seqreq t ~rid ~body =
   if t.active then begin
     if Some (me t) = sequencer t then begin
       if
@@ -328,15 +326,13 @@ let rec handle_seqreq t ~rid ~body ~size =
         && not (Hashtbl.mem t.delivered_rids rid)
       then
         if blocked t then
-          t.out_queue <-
-            (fun () -> handle_seqreq t ~rid ~body ~size) :: t.out_queue
+          t.out_queue <- (fun () -> handle_seqreq t ~rid ~body) :: t.out_queue
         else sequence_now t rid body
     end
     else
       (* Not the sequencer (stale addressing): forward. *)
       match sequencer t with
-      | Some s when s <> me t ->
-          Rc.send t.rc ~size ~dst:s (Tr_seqreq { rid; body; size })
+      | Some s when s <> me t -> Rc.send t.rc ~dst:s (Tr_seqreq { rid; body })
       | _ -> ()
   end
 
@@ -535,7 +531,7 @@ and check_flush_complete t =
                    let app =
                      Option.map (fun g -> g ()) t.app_state_provider
                    in
-                   Rc.send t.rc ~size:4096 ~dst:p
+                   Rc.send t.rc ~dst:p
                      (Tr_state { view = t.view; last_gseq = t.last_gseq; app }))))
           f.joiners
       end
@@ -571,9 +567,8 @@ and apply_install t ~view ~deliver =
   List.iter (fun m -> vs_receive t m) future;
   (* Re-route unordered requests to the (possibly new) sequencer. *)
   List.iter
-    (fun (rid, (body, size)) ->
-      if not (Hashtbl.mem t.delivered_rids rid) then
-        abcast_route t rid body size)
+    (fun (rid, body) ->
+      if not (Hashtbl.mem t.delivered_rids rid) then abcast_route t rid body)
     (Sorted.bindings t.pending_req);
   (* Unblock queued application operations. *)
   let q = List.rev t.out_queue in
@@ -753,7 +748,7 @@ let create runtime ~id ~initial ?(config = default_config)
                             let app =
                               Option.map (fun g -> g ()) t.app_state_provider
                             in
-                            Rc.send t.rc ~size:4096 ~dst:p
+                            Rc.send t.rc ~dst:p
                               (Tr_state
                                  { view = t.view; last_gseq = t.last_gseq; app }))))
                    joiners
@@ -787,7 +782,7 @@ let create runtime ~id ~initial ?(config = default_config)
       | Tr_flreq { epoch; proposal } -> handle_flreq t ~src ~epoch ~proposal
       | Tr_flresp { epoch; unstable } -> handle_flresp t ~src ~epoch ~unstable
       | Tr_install { epoch; view; deliver } -> handle_install t ~epoch ~view ~deliver
-      | Tr_seqreq { rid; body; size } -> handle_seqreq t ~rid ~body ~size
+      | Tr_seqreq { rid; body } -> handle_seqreq t ~rid ~body
       | Tr_joinreq { p; rejoin } -> handle_joinreq t ~p ~rejoin
       | Tr_leavereq { p } -> handle_leavereq t ~p
       | Tr_state { view; last_gseq; app } -> handle_state t ~view ~last_gseq ~app

@@ -68,11 +68,11 @@ val create :
 (** As in {!Gcs.Gcs_stack.create}: founders list themselves in [initial];
     later processes pass the current membership and {!join}. *)
 
-val abcast : t -> ?size:int -> Gc_net.Payload.t -> unit
+val abcast : t -> Gc_net.Payload.t -> unit
 (** Sequencer-ordered broadcast (total order).  Queued while the stack is
     blocked by a flush, and while excluded. *)
 
-val vscast : t -> ?size:int -> Gc_net.Payload.t -> unit
+val vscast : t -> Gc_net.Payload.t -> unit
 (** View-synchronous broadcast (FIFO per sender, same set in each view). *)
 
 val on_deliver :

@@ -207,28 +207,21 @@ let test_drop_counter_split () =
     (Netsim.messages_dropped_gone net);
   Support.check_int "total is the sum" 4 (Netsim.messages_dropped net)
 
-let test_duplication_and_metrics_mirror () =
+let test_duplication_and_drop_counters () =
   let engine = Engine.create ~seed:3L () in
-  let metrics = Gc_obs.Metrics.create () in
-  let net =
-    Netsim.create engine ~metrics ~delay:(Delay.Constant 1.0) ~dup:1.0 ~n:2 ()
-  in
+  let net = Netsim.create engine ~delay:(Delay.Constant 1.0) ~dup:1.0 ~n:2 () in
   let log = ref [] in
   collect net 1 log;
   Netsim.send net ~src:0 ~dst:1 (Ping 1);
   Engine.run engine;
   Support.check_int "original + duplicate delivered" 2 (List.length !log);
   Support.check_int "duplication counted" 1 (Netsim.messages_duplicated net);
-  Support.check_int "mirrored to metrics" 1
-    (Gc_obs.Metrics.counter metrics "net.duplicated");
-  (* The split drop counters are mirrored too. *)
+  (* A dead receiver is a gone drop, never a policy drop. *)
   Netsim.crash net 1;
   Netsim.send net ~src:0 ~dst:1 (Ping 2);
   Engine.run engine;
-  Support.check_int "gone mirrored" 1
-    (Gc_obs.Metrics.counter metrics "net.dropped_gone");
-  Support.check_int "policy mirrored" 0
-    (Gc_obs.Metrics.counter metrics "net.dropped_policy")
+  Support.check_int "gone drop" 1 (Netsim.messages_dropped_gone net);
+  Support.check_int "no policy drop" 0 (Netsim.messages_dropped_policy net)
 
 let test_dup_zero_does_not_perturb_rng () =
   (* dup = 0.0 must not consume random draws: a lossy run with and without
@@ -290,8 +283,8 @@ let suite =
         Alcotest.test_case "recover live node is a no-op" `Quick
           test_recover_live_node_noop;
         Alcotest.test_case "drop counter split" `Quick test_drop_counter_split;
-        Alcotest.test_case "duplication + metrics mirror" `Quick
-          test_duplication_and_metrics_mirror;
+        Alcotest.test_case "duplication + drop counters" `Quick
+          test_duplication_and_drop_counters;
         Alcotest.test_case "dup=0 leaves rng untouched" `Quick
           test_dup_zero_does_not_perturb_rng;
         Alcotest.test_case "delay distribution means" `Quick test_delay_mean_sanity;

@@ -180,9 +180,9 @@ let capture_mode_payloads ack_mode =
       {
         base with
         Runtime.send =
-          (fun ?size ~src ~dst p ->
+          (fun ~src ~dst p ->
             captured := p :: !captured;
-            base.Runtime.send ?size ~src ~dst p);
+            base.Runtime.send ~src ~dst p);
       }
     in
     let proc = Process.create runtime ~id:i in
@@ -324,6 +324,75 @@ let test_hot_path_codec_truncation_and_garbage () =
       done)
     payloads
 
+(* ---------- fast-path wire length ----------
+
+   Golden encoded lengths for the commuting fast path as it crosses TCP:
+   an rchannel data packet carrying a reliable broadcast carrying one
+   gbcast message, or a batch of three.  The three constructors are
+   module-private, so the payload is built by decoding hand-assembled
+   bytes with fixed field values.  A varint below 64 takes one byte and a
+   string is a one-byte length plus its bytes:
+
+     rc envelope  tag "rc" 3 + constructor 1 + gen 1 + seq 1       =  6
+     rb envelope  tag "rb" 3 + origin 1 + bid 1 + dests [0;1;2] 4  =  9
+     gb header    tag "gb" 3 + constructor 1 (+ list length 1 in a batch)
+     gb msg       origin 1 + gseq 1 + sent_at 8 + body 11          = 21
+     body         tag "test.wop" 9 + klass 1 + k 1                 = 11
+
+   so 6 + 9 + 4 + 21 = 40 bytes for one message and 6 + 9 + 5 + 3 * 21 =
+   83 for three.  A field added to any envelope (the simulator's old
+   [size] hints rode in all three) changes these numbers. *)
+
+let fast_path_bytes gseqs =
+  let w = Buffer.create 128 in
+  Wire.str w "rc";
+  Wire.u8 w 0 (* Rc_data *);
+  Wire.varint w 0 (* gen *);
+  Wire.varint w 5 (* seq *);
+  Wire.str w "rb";
+  Wire.varint w 1 (* origin *);
+  Wire.varint w 7 (* bid *);
+  Wire.list w Wire.varint [ 0; 1; 2 ] (* dests *);
+  Wire.str w "gb";
+  let msg w gseq =
+    Wire.varint w 1 (* origin *);
+    Wire.varint w gseq;
+    Wire.f64 w 100.0 (* sent_at *);
+    Wire.str w "test.wop";
+    Wire.u8 w 0 (* klass *);
+    Wire.varint w gseq (* k *)
+  in
+  (match gseqs with
+  | [ gseq ] ->
+      Wire.u8 w 0 (* Gb_fast *);
+      msg w gseq
+  | gseqs ->
+      Wire.u8 w 4 (* Gb_fast_batch *);
+      Wire.list w msg gseqs);
+  Buffer.contents w
+
+let test_fast_path_wire_length () =
+  let check gseqs ~printed ~len =
+    let bytes = fast_path_bytes gseqs in
+    let p =
+      match Payload.decode bytes with
+      | Ok p -> p
+      | Error e ->
+          Alcotest.failf "%s decode: %s" printed
+            (Payload.codec_error_to_string e)
+    in
+    check_str "printed form" printed (Payload.to_string p);
+    match Payload.encode p with
+    | Ok bytes' ->
+        check_str (printed ^ " re-encodes to identical bytes") bytes bytes';
+        check_int (printed ^ " encoded length") len (String.length bytes')
+    | Error e ->
+        Alcotest.failf "%s encode: %s" printed (Payload.codec_error_to_string e)
+  in
+  check [ 3 ] ~printed:"rc.data#0.5(rb#1.7(gb.fast#1.3))" ~len:40;
+  check [ 3; 4; 5 ]
+    ~printed:"rc.data#0.5(rb#1.7(gb.fastbatch[1.3;1.4;1.5]))" ~len:83
+
 (* ---------- framing ---------- *)
 
 let frame_of p =
@@ -442,6 +511,8 @@ let suite =
           test_hot_path_codec_roundtrip;
         Alcotest.test_case "hot-path codec truncation/garbage" `Quick
           test_hot_path_codec_truncation_and_garbage;
+        Alcotest.test_case "fast-path wire length" `Quick
+          test_fast_path_wire_length;
         Alcotest.test_case "frame round-trip" `Quick test_frame_roundtrip;
         Alcotest.test_case "frame oversized both ways" `Quick
           test_frame_oversized;
