@@ -8,7 +8,7 @@ type msg = {
   origin : int;
   mseq : int;
   body : Gc_net.Payload.t;
-  sent_at : float; (* virtual submit time at the origin, for latency metrics *)
+  sent_at : float; (* origin's clock at submit, for its latency metric *)
 }
 
 let msg_id m = (m.origin, m.mseq)
@@ -169,8 +169,11 @@ let apply_decisions t =
               pending_remove t id;
               t.n_delivered <- t.n_delivered + 1;
               Process.incr t.proc "abcast.delivered";
-              Process.observe t.proc "abcast.latency_ms"
-                (Process.now t.proc -. m.sent_at);
+              (* [sent_at] is the origin's clock: only the origin can
+                 subtract it from its own [now]. *)
+              if m.origin = Process.id t.proc then
+                Process.observe t.proc "abcast.latency_ms"
+                  (Process.now t.proc -. m.sent_at);
               if Process.traced t.proc then
                 Process.event t.proc ~component:"abcast"
                   ~kind:Gc_obs.Event.Deliver

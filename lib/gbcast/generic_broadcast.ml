@@ -10,7 +10,7 @@ type msg = {
   origin : int;
   gseq : int;
   body : Gc_net.Payload.t;
-  sent_at : float; (* virtual submit time at the origin, for latency metrics *)
+  sent_at : float; (* origin's clock at submit, for its latency metric *)
 }
 
 let msg_id m = (m.origin, m.gseq)
@@ -241,7 +241,11 @@ let deliver t m =
     log_delivery t m;
     t.n_delivered <- t.n_delivered + 1;
     Process.incr t.proc "gbcast.delivered";
-    Process.observe t.proc "gbcast.latency_ms" (Process.now t.proc -. m.sent_at);
+    (* [sent_at] is the origin's clock: only the origin can subtract it
+       from its own [now]. *)
+    if m.origin = Process.id t.proc then
+      Process.observe t.proc "gbcast.latency_ms"
+        (Process.now t.proc -. m.sent_at);
     if Process.traced t.proc then
       (* The conflict class rides along so the auditor can tell which
          delivery pairs must agree in order: a message conflicting with

@@ -29,15 +29,19 @@ type world = {
 
 let ids n = List.init n (fun i -> i)
 
+(* [wrap i runtime] may replace node [i]'s runtime capabilities, e.g. to
+   skew its clock. *)
 let make_world ?(seed = 42L) ?(delay = Delay.lan) ?(drop = 0.0)
-    ?(hb_period = 20.0) ?(rto = 50.0) ?(stuck_after = 10_000.0) ~n () =
+    ?(hb_period = 20.0) ?(rto = 50.0) ?(stuck_after = 10_000.0)
+    ?(wrap = fun _ runtime -> runtime) ~n () =
   let engine = Engine.create ~seed () in
   let trace = Trace.create ~enabled:true () in
   let net = Netsim.create engine ~trace ~delay ~drop ~n () in
   let peer_ids = ids n in
   let nodes =
     Array.init n (fun i ->
-        let proc = Process.create (Gc_kernel.Runtime.of_netsim net ~trace) ~id:i in
+        let runtime = wrap i (Gc_kernel.Runtime.of_netsim net ~trace) in
+        let proc = Process.create runtime ~id:i in
         let fd = Fd.create proc ~hb_period ~peers:peer_ids () in
         let rc = Rc.create proc ~rto ~stuck_after () in
         let rb = Rb.create proc rc in

@@ -259,6 +259,61 @@ let test_ack_tallies_bounded () =
   done;
   check_bool "in-flight tallies stay small" true (!peak < 200)
 
+(* The latency histograms subtract [sent_at], stamped on the origin's
+   clock, so only the origin may observe them.  Node [i]'s clock here runs
+   [i * 5000] ms ahead, as separately started servers' clocks do on the
+   unix backend; a replica reading another origin's [sent_at] would record
+   about +-5000 ms. *)
+let test_latency_on_origin_clock () =
+  let n = 3 in
+  let skew i (r : Gc_kernel.Runtime.t) =
+    { r with now = (fun () -> r.now () +. (5000.0 *. float_of_int i)) }
+  in
+  let w = make_world ~n ~wrap:skew () in
+  let abs =
+    Array.map
+      (fun node ->
+        Ab.create node.proc ~rc:node.rc ~rb:node.rb ~fd:node.fd ~members:(ids n)
+          ())
+      w.nodes
+  in
+  let gbs =
+    Array.mapi
+      (fun i node ->
+        Gb.create node.proc ~rc:node.rc ~rb:node.rb ~ab:abs.(i)
+          ~conflict:(Conflict.of_relation (Conflict.by_class ~classify))
+          ~members:(ids n) ())
+      w.nodes
+  in
+  Array.iteri
+    (fun i gb ->
+      Gb.gbcast gb (Update i);
+      Gb.gbcast gb (Order (10 + i));
+      Ab.abcast abs.(i) (Order (20 + i)))
+    gbs;
+  run_until w 30_000.0;
+  let module M = Gc_obs.Metrics in
+  Array.iteri
+    (fun i node ->
+      let m = Process.metrics node.proc in
+      check_int "all gbcasts delivered" (2 * n) (M.counter m "gbcast.delivered");
+      check_int "gbcasts originated" 2 (M.counter m "gbcast.submitted");
+      List.iter
+        (fun (hist, submitted) ->
+          let what = Printf.sprintf "node %d %s" i hist in
+          check_int (what ^ " counts own messages") (M.counter m submitted)
+            (M.hist_count m hist);
+          match M.view m hist with
+          | Some (M.V_hist h) ->
+              check_bool (what ^ " min >= 0") true (h.hv_min >= 0.0);
+              check_bool (what ^ " max < 1000") true (h.hv_max < 1000.0)
+          | _ -> Alcotest.failf "%s missing" what)
+        [
+          ("gbcast.latency_ms", "gbcast.submitted");
+          ("abcast.latency_ms", "abcast.submitted");
+        ])
+    w.nodes
+
 let prop_generic_order_random =
   QCheck.Test.make ~name:"generic order across random mixed workloads" ~count:8
     QCheck.(pair small_nat (int_range 1 3))
@@ -302,6 +357,8 @@ let suite =
           test_fig8_scenario_two_outcomes;
         Alcotest.test_case "ack tallies stay bounded" `Quick
           test_ack_tallies_bounded;
+        Alcotest.test_case "latency read on the origin's clock" `Quick
+          test_latency_on_origin_clock;
         QCheck_alcotest.to_alcotest prop_generic_order_random;
       ] );
   ]
