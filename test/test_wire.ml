@@ -340,8 +340,7 @@ let test_hot_path_codec_truncation_and_garbage () =
      body         tag "test.wop" 9 + klass 1 + k 1                 = 11
 
    so 6 + 9 + 4 + 21 = 40 bytes for one message and 6 + 9 + 5 + 3 * 21 =
-   83 for three.  A field added to any envelope (the simulator's old
-   [size] hints rode in all three) changes these numbers. *)
+   83 for three.  A field added to any envelope changes these numbers. *)
 
 let fast_path_bytes gseqs =
   let w = Buffer.create 128 in
