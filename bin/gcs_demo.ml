@@ -17,8 +17,9 @@ module Tt = Gc_totem.Totem_stack
 module Stats = Gc_sim.Stats
 module Metrics = Gc_obs.Metrics
 module Process = Gc_kernel.Process
-module Sm = Gc_replication.State_machine
-module Active_gb = Gc_replication.Active_gb
+module Replica = Gc_server.Replica
+module Proto = Gc_server.Proto
+module Kv = Gc_server.Kv
 module Client = Gc_replication.Client
 
 type Gc_net.Payload.t += Demo of { k : int; sent_at : float }
@@ -170,18 +171,21 @@ let bank_cmd requests commuting seed record =
   let servers =
     List.map
       (fun id ->
-        Active_gb.create (Gc_kernel.Runtime.of_netsim net ~trace) ~id ~initial:replicas
-          ~classify:Sm.Bank.classify ~make_sm:Sm.Bank.make ())
+        Replica.create_rpc (Gc_kernel.Runtime.of_netsim net ~trace) ~id
+          ~initial:replicas ())
       replicas
   in
   let client = Client.create (Gc_kernel.Runtime.of_netsim net ~trace) ~id:n_replicas ~replicas () in
   let rng = Engine.split_rng engine in
   let lat = Stats.sample () in
+  let account () = Printf.sprintf "acct%d" (Gc_sim.Rng.int rng 4) in
   for k = 0 to requests - 1 do
+    (* A deposit commutes ([Incr]); a withdrawal is an ordered [Put] that
+       empties the account. *)
     let cmd =
       if Gc_sim.Rng.int rng 100 < commuting then
-        Sm.Bank.Deposit { account = Gc_sim.Rng.int rng 4; amount = 10 }
-      else Sm.Bank.Withdraw { account = Gc_sim.Rng.int rng 4; amount = 5 }
+        Proto.Cl_incr { rid = 0; key = account (); delta = 10 }
+      else Proto.Cl_put { rid = 0; key = account (); value = "0" }
     in
     ignore
       (Engine.schedule engine ~delay:(float_of_int (k * 25)) (fun () ->
@@ -189,7 +193,7 @@ let bank_cmd requests commuting seed record =
                Stats.add lat latency)))
   done;
   Engine.run ~until:120_000.0 engine;
-  let s0 = List.hd servers in
+  let s0 = Replica.stack (List.hd servers) in
   Printf.printf "bank over generic broadcast: %d replicas, %d requests, %d%% commuting\n"
     n_replicas requests commuting;
   Printf.printf "served: %d   mean latency: %s ms   p95: %s ms\n"
@@ -197,16 +201,17 @@ let bank_cmd requests commuting seed record =
     (Stats.fmt_ms (Stats.mean lat))
     (Stats.fmt_ms (Stats.percentile lat 95.0));
   Printf.printf "consensus instances: %d   fast-path deliveries: %d\n"
-    (Gc_abcast.Atomic_broadcast.next_instance
-       (Stack.atomic_broadcast (Active_gb.stack s0)))
+    (Gc_abcast.Atomic_broadcast.next_instance (Stack.atomic_broadcast s0))
     (Gc_gbcast.Generic_broadcast.fast_delivered_count
-       (Stack.generic_broadcast (Active_gb.stack s0)));
-  (match Active_gb.snapshot s0 with
-  | Sm.Bank.Bank_state accounts ->
-      Printf.printf "final balances: %s\n"
-        (String.concat ", "
-           (List.map (fun (a, b) -> Printf.sprintf "acct%d=%d" a b) accounts))
-  | _ -> ());
+       (Stack.generic_broadcast s0));
+  let kv = Replica.kv (List.hd servers) in
+  Printf.printf "final balances: %s\n"
+    (String.concat ", "
+       (List.filter_map
+          (fun a ->
+            let key = Printf.sprintf "acct%d" a in
+            Option.map (fun b -> key ^ "=" ^ b) (Kv.get kv key))
+          [ 0; 1; 2; 3 ]));
   save_record trace record
 
 (* ---------- cmdliner plumbing ---------- *)

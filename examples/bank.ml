@@ -2,21 +2,24 @@
 
    Run with:  dune exec examples/bank.exe
 
-   Every replica executes every command (state-machine replication), but the
-   broadcast primitive is chosen per command class:
+   Every replica executes every command (active replication on
+   [Gc_server.Replica], the same replica core gcs_server runs over TCP), and
+   the broadcast primitive follows the command's class:
 
-   - with GENERIC broadcast, deposits (commutative) ride the consensus-free
-     fast path and only withdrawals pay for total order;
-   - with ATOMIC broadcast, every operation pays for consensus — the
-     "non-necessary overhead" the paper points out.
+   - with GENERIC broadcast, deposits (commutative [Incr]s of the account)
+     ride the consensus-free fast path and only withdrawals (an ordered
+     [Put] that empties the account) pay for total order;
+   - with ATOMIC broadcast, every operation is submitted as a [Put] and
+     pays for consensus — the "non-necessary overhead" the paper points
+     out.
 
    Both runs use the same seed, network and workload. *)
 
 module Engine = Gc_sim.Engine
 module Trace = Gc_sim.Trace
 module Netsim = Gc_net.Netsim
-module Sm = Gc_replication.State_machine
-module Active_gb = Gc_replication.Active_gb
+module Replica = Gc_server.Replica
+module Proto = Gc_server.Proto
 module Client = Gc_replication.Client
 module Stats = Gc_sim.Stats
 
@@ -24,11 +27,11 @@ let n_replicas = 3
 let n_clients = 2
 let n_requests = 40
 
-let workload rng k =
+let workload rng ~use_generic k =
   (* 80% deposits, 20% withdrawals, across 4 accounts. *)
-  let account = Gc_sim.Rng.int rng 4 in
-  if k mod 5 = 4 then Sm.Bank.Withdraw { account; amount = 30 }
-  else Sm.Bank.Deposit { account; amount = 10 }
+  let key = Printf.sprintf "acct%d" (Gc_sim.Rng.int rng 4) in
+  if use_generic && k mod 5 <> 4 then Proto.Cl_incr { rid = 0; key; delta = 10 }
+  else Proto.Cl_put { rid = 0; key; value = "0" }
 
 let run_scheme name ~use_generic =
   let engine = Engine.create ~seed:11L () in
@@ -40,21 +43,12 @@ let run_scheme name ~use_generic =
   let replicas = List.init n_replicas (fun i -> i) in
   let latencies = Stats.sample () in
   let stacks =
-    if use_generic then
-      List.map
-        (fun id ->
-          Active_gb.stack
-            (Active_gb.create (Gc_kernel.Runtime.of_netsim net ~trace) ~id ~initial:replicas
-               ~classify:Sm.Bank.classify ~make_sm:Sm.Bank.make ()))
-        replicas
-    else
-      List.map
-        (fun id ->
-          Active_gb.stack
-            (Active_gb.create (Gc_kernel.Runtime.of_netsim net ~trace) ~id ~initial:replicas
-               ~classify:(fun _ -> Gc_gbcast.Conflict.Ordered)
-               ~make_sm:Sm.Bank.make ()))
-        replicas
+    List.map
+      (fun id ->
+        Replica.stack
+          (Replica.create_rpc (Gc_kernel.Runtime.of_netsim net ~trace) ~id
+             ~initial:replicas ()))
+      replicas
   in
   let clients =
     List.init n_clients (fun i ->
@@ -63,7 +57,7 @@ let run_scheme name ~use_generic =
   let rng = Engine.split_rng engine in
   Netsim.reset_counters net;
   for k = 0 to n_requests - 1 do
-    let cmd = workload rng k in
+    let cmd = workload rng ~use_generic k in
     let client = List.nth clients (k mod n_clients) in
     ignore
       (Engine.schedule engine ~delay:(float_of_int (k * 25)) (fun () ->

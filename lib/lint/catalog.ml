@@ -62,16 +62,20 @@ let dir_of_path path =
    ambient-nondeterminism rule D1 does not apply inside them.  Protocol
    code still cannot reach nondeterminism through them — the layering
    rules keep every protocol lib below the seam. *)
-let realtime_dirs = [ "runtime_unix"; "server" ]
+let realtime_dirs = [ "runtime_unix" ]
 
-(* bin/ and bench/ files that sit on the real-time side of the seam by
-   design: entry points that own sockets and wall clocks.  Everything
-   else under bin/ and bench/ (demo, trace, fuzz drivers, simulated
-   bench cells) is deterministic and stays under D1. *)
+(* Files that sit on the real-time side of the seam by design: the
+   server's TCP front door, its blocking client and telemetry writer, and
+   the entry points that own sockets and wall clocks.  The rest of
+   lib/server (the replica core, the store, the protocol, resync) runs
+   under the simulator too and stays under D1, as does everything else
+   under bin/ and bench/ (demo, trace, fuzz drivers, simulated bench
+   cells). *)
 let realtime_files =
   [
-    "bin/gcs_server.ml"; "bin/gcs_client.ml"; "bin/gcs_top.ml";
-    "bench/perf.ml";
+    "lib/server/server.ml"; "lib/server/sync_client.ml";
+    "lib/server/telemetry.ml"; "bin/gcs_server.ml"; "bin/gcs_client.ml";
+    "bin/gcs_top.ml"; "bench/perf.ml";
   ]
 
 let has_suffix ~suffix s =
@@ -167,15 +171,17 @@ let arch =
       ];
     (* The real-network side of the runtime seam: the TCP backend plugs in
        under gc_kernel's Runtime capabilities, the server assembles the
-       facade stack on top of it.  Both may touch Unix (see
-       [realtime_dirs]); nothing in the protocol column may depend on
-       them. *)
+       facade stack on top of it.  The backend and the server's TCP front
+       door may touch Unix (see [realtime_dirs] and [realtime_files]);
+       nothing in the protocol column may depend on them.  The server's
+       replica core also serves simulated clients, over the reliable
+       channel with gc_replication's Rpc payloads. *)
     layer ~ext:[ "fmt"; "unix" ] "gc_runtime_unix" "runtime_unix" 13
       [ "gc_sim"; "gc_net"; "gc_kernel"; "gc_obs" ];
     layer ~ext:[ "fmt"; "unix" ] "gc_server" "server" 14
       [
-        "gc_sim"; "gc_net"; "gc_kernel"; "gc_obs"; "gc_membership"; "gcs";
-        "gc_runtime_unix";
+        "gc_sim"; "gc_net"; "gc_kernel"; "gc_obs"; "gc_rchannel";
+        "gc_membership"; "gcs"; "gc_replication"; "gc_runtime_unix";
       ];
     layer ~ext:[ "fmt"; "compiler-libs.common" ] "gc_lint" "lint" 15 [];
   ]
@@ -266,7 +272,7 @@ let has_prefix ~prefix s =
 
 let b2_site_scope source =
   match dir_of_path source with
-  | Some d -> is_protocol_dir d || List.mem d realtime_dirs
+  | Some d -> is_protocol_dir d || d = "server" || List.mem d realtime_dirs
   (* the planted typed fixtures exercise the rule from test/ *)
   | None -> has_prefix ~prefix:"test/lint_fixtures/typed/" source
 

@@ -2,9 +2,9 @@
 
     Clients are plain processes outside the replica group.  A client sends
     each request to one replica and waits; on timeout it rotates to the next
-    replica and resends {e with the same request id} (the replicas'
-    at-most-once tables make retries safe); a [Redirect] reply retargets it
-    at the current primary (passive replication).  Latency is measured from
+    replica and resends {e with the same request id} (replicas dedup by
+    client and request id, so retries are safe); a [Redirect] reply
+    retargets it at the current primary (passive replication).  Latency is measured from
     the {e first} send, so failovers show up in the client-perceived numbers
     — the responsiveness the paper's Section 4.3 is about. *)
 

@@ -52,9 +52,6 @@ module Bank = struct
     in
     { apply; snapshot; restore }
 
-  let classify = function
-    | Deposit _ -> Gc_gbcast.Conflict.Commuting
-    | _ -> Gc_gbcast.Conflict.Ordered
 end
 
 module Kv = struct
@@ -102,38 +99,4 @@ module Kv = struct
         k = k'
     | Get _, Get _ -> false
     | _, _ -> true
-end
-
-module Counter = struct
-  type Gc_net.Payload.t +=
-    | Incr of int
-    | Read
-    | Counter_value of int
-
-  let () =
-    Gc_net.Payload.register_printer (function
-      | Incr k -> Some (Printf.sprintf "incr(%d)" k)
-      | Read -> Some "read"
-      | Counter_value v -> Some (Printf.sprintf "value(%d)" v)
-      | _ -> None)
-
-  let make () =
-    let value = ref 0 in
-    let apply = function
-      | Incr k ->
-          value := !value + k;
-          Counter_value !value
-      | Read -> Counter_value !value
-      | _ -> invalid_arg "Counter.apply: unknown command"
-    in
-    let snapshot () = Counter_value !value in
-    let restore = function
-      | Counter_value v -> value := v
-      | _ -> invalid_arg "Counter.restore: bad snapshot"
-    in
-    { apply; snapshot; restore }
-
-  let classify = function
-    | Incr _ -> Gc_gbcast.Conflict.Commuting
-    | _ -> Gc_gbcast.Conflict.Ordered
 end

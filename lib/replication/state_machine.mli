@@ -27,9 +27,6 @@ module Bank : sig
     | Bank_state of (int * int) list
 
   val make : unit -> t
-
-  val classify : Gc_net.Payload.t -> Gc_gbcast.Conflict.klass
-  (** [Deposit] is [Commuting]; everything else [Ordered]. *)
 end
 
 (** {1 Key-value store}
@@ -49,15 +46,4 @@ module Kv : sig
 
   val conflict : Gc_gbcast.Conflict.relation
   (** Puts on distinct keys commute; same-key puts and every get conflict. *)
-end
-
-(** {1 Counter} — increments commute; reads conflict with increments. *)
-module Counter : sig
-  type Gc_net.Payload.t +=
-    | Incr of int
-    | Read
-    | Counter_value of int
-
-  val make : unit -> t
-  val classify : Gc_net.Payload.t -> Gc_gbcast.Conflict.klass
 end

@@ -1,12 +1,12 @@
-(** One [gcs_server] daemon: a {!Gcs_stack} over the real-network runtime,
+(** One [gcs_server] daemon: a {!Replica} over the real-network runtime,
     plus a client-facing TCP listener speaking {!Proto} frames.
 
-    Requests enter on a client connection, are wrapped in
-    {!Proto.Sv_op} and broadcast through the stack ([Cl_put] via abcast,
-    [Cl_incr] via rbcast); when the daemon's own stack delivers an
-    envelope it originated, the submitting client gets its
-    {!Proto.Cl_reply}.  Reads ([Cl_get], [Cl_dump]) are answered from
-    the local {!Kv} replica immediately. *)
+    Requests enter on a client connection and are submitted to the
+    replica ([Cl_put] via abcast, [Cl_incr] via rbcast); when the
+    daemon's own stack delivers an op it submitted, the submitting client
+    gets its {!Proto.Cl_reply}.  Reads ([Cl_get], [Cl_dump]) are answered
+    from the local {!Kv} replica immediately, and the admin requests
+    ([Cl_stats], [Cl_health]) from the telemetry bodies below. *)
 
 type t
 

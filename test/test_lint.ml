@@ -60,6 +60,25 @@ let test_non_protocol () =
   let unwaived, _, _ = Lint.lint_file_source ~path:"lib/sim/rng.ml" d1 in
   Alcotest.check pairs "lib/sim/rng.ml is D1-exempt" [] (rule_lines unwaived)
 
+(* D1's exemptions, one path of each kind: the randomness owner, a
+   real-time directory, a real-time file in lib/ and one in bin/.  The
+   server's replica core and store run in the simulator too, so D1 covers
+   them although they share lib/server with the exempt TCP front door. *)
+let test_rng_exempt () =
+  List.iter
+    (fun (path, exempt) ->
+      Alcotest.(check bool) path exempt (Gc_lint.Catalog.rng_exempt path))
+    [
+      ("lib/sim/rng.ml", true);
+      ("lib/runtime_unix/evloop.ml", true);
+      ("lib/server/server.ml", true);
+      ("bin/gcs_server.ml", true);
+      ("lib/server/replica.ml", false);
+      ("lib/server/kv.ml", false);
+      ("lib/sim/engine.ml", false);
+      ("bin/gcs_demo.ml", false);
+    ]
+
 let test_waivers () =
   let unwaived, waived, waivers = lint_fixture "fixture_waiver.ml" in
   Alcotest.check pairs "unwaived"
@@ -303,6 +322,7 @@ let suite =
         Alcotest.test_case "E1 event discipline" `Quick test_e1;
         Alcotest.test_case "clean fixture stays clean" `Quick test_clean;
         Alcotest.test_case "protocol scoping" `Quick test_non_protocol;
+        Alcotest.test_case "D1 exemptions by path" `Quick test_rng_exempt;
         Alcotest.test_case "waivers cover what they name" `Quick test_waivers;
         Alcotest.test_case "waiver grammar" `Quick test_waiver_parse;
         Alcotest.test_case "multiline waiver" `Quick test_waiver_multiline;

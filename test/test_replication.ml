@@ -1,5 +1,6 @@
-(* Tests for the replication toolkit: state machines, active replication,
-   passive replication over generic broadcast (Figure 8 semantics), and the
+(* Tests for the replication toolkit: state machines, active replication
+   (the server's replica core behind its simulator front door), passive
+   replication over generic broadcast (Figure 8 semantics), and the
    view-synchrony passive baseline. *)
 
 module Engine = Gc_sim.Engine
@@ -7,7 +8,9 @@ module Netsim = Gc_net.Netsim
 module Trace = Gc_sim.Trace
 module View = Gc_membership.View
 module Sm = Gc_replication.State_machine
-module Active_gb = Gc_replication.Active_gb
+module Replica = Gc_server.Replica
+module Proto = Gc_server.Proto
+module Kv = Gc_server.Kv
 module Passive = Gc_replication.Passive
 module Passive_vs = Gc_replication.Passive_vs
 module Client = Gc_replication.Client
@@ -61,14 +64,6 @@ let prop_kv_conflict_symmetric =
       let a = mk aput ka and b = mk bput kb in
       Sm.Kv.conflict a b = Sm.Kv.conflict b a)
 
-let test_counter_machine () =
-  let m = Sm.Counter.make () in
-  ignore (m.Sm.apply (Sm.Counter.Incr 3));
-  ignore (m.Sm.apply (Sm.Counter.Incr 4));
-  match m.Sm.apply Sm.Counter.Read with
-  | Sm.Counter.Counter_value v -> check_int "sum" 7 v
-  | _ -> Alcotest.fail "bad reply"
-
 (* ---------- shared world for client/replica scenarios ---------- *)
 
 let world ~n_replicas ~n_clients ~seed =
@@ -81,67 +76,68 @@ let world ~n_replicas ~n_clients ~seed =
 let deposit a k = Sm.Bank.Deposit { account = a; amount = k }
 let withdraw a k = Sm.Bank.Withdraw { account = a; amount = k }
 
-(* ---------- active replication: generic broadcast with every command
-   ordered is atomic broadcast (paper Section 4.2) ---------- *)
+(* ---------- active replication: every replica applies every op; an
+   increment commutes (fast path), a put is ordered (paper Section 4.2) ---------- *)
+
+let incr_op key delta = Proto.Cl_incr { rid = 0; key; delta }
+let put_op key value = Proto.Cl_put { rid = 0; key; value }
+
+let active_replicas net trace replicas =
+  List.map
+    (fun id ->
+      Replica.create_rpc (Gc_kernel.Runtime.of_netsim net ~trace) ~id
+        ~initial:replicas ())
+    replicas
 
 let test_active_basic () =
   let engine, trace, net, replicas = world ~n_replicas:3 ~n_clients:1 ~seed:1L in
-  let servers =
-    List.map
-      (fun id ->
-        Active_gb.create (Gc_kernel.Runtime.of_netsim net ~trace) ~id ~initial:replicas
-          ~classify:(fun _ -> Gc_gbcast.Conflict.Ordered) ~make_sm:Sm.Bank.make ())
-      replicas
-  in
+  let servers = active_replicas net trace replicas in
   let client = Client.create (Gc_kernel.Runtime.of_netsim net ~trace) ~id:3 ~replicas () in
   let replies = ref [] in
-  for k = 1 to 5 do
-    Client.request client ~cmd:(deposit 0 k) ~on_reply:(fun r ~latency ->
+  let request cmd =
+    Client.request client ~cmd ~on_reply:(fun r ~latency ->
         replies := (r, latency) :: !replies)
+  in
+  for k = 1 to 5 do
+    request (incr_op "acct0" k)
   done;
+  request (put_op "acct1" "7");
   Engine.run ~until:30_000.0 engine;
-  check_int "five replies" 5 (List.length !replies);
+  check_int "six replies" 6 (List.length !replies);
   check_int "no retries needed" 0 (Client.retries client);
   (* All replicas applied all commands and share one state. *)
-  let snaps = List.map Active_gb.snapshot servers in
+  let dumps = List.map (fun r -> Kv.dump (Replica.kv r)) servers in
   List.iter
-    (fun s -> Alcotest.(check bool) "replicas agree" true (s = List.hd snaps))
-    snaps;
-  match List.hd snaps with
-  | Sm.Bank.Bank_state [ (0, total) ] -> check_int "sum applied" 15 total
-  | _ -> Alcotest.fail "unexpected snapshot"
+    (fun d -> Alcotest.(check string) "replicas agree" (List.hd dumps) d)
+    dumps;
+  let kv = Replica.kv (List.hd servers) in
+  Alcotest.(check (option string)) "sum applied" (Some "15") (Kv.get kv "acct0");
+  Alcotest.(check (option string)) "put applied" (Some "7") (Kv.get kv "acct1")
 
 let test_active_contact_crash_exactly_once () =
   for_seeds ~count:6 (fun seed ->
       let engine, trace, net, replicas = world ~n_replicas:3 ~n_clients:1 ~seed in
-      let servers =
-        List.map
-          (fun id ->
-            Active_gb.create (Gc_kernel.Runtime.of_netsim net ~trace) ~id ~initial:replicas
-              ~classify:(fun _ -> Gc_gbcast.Conflict.Ordered) ~make_sm:Sm.Bank.make ())
-          replicas
-      in
+      let servers = active_replicas net trace replicas in
       let client = Client.create (Gc_kernel.Runtime.of_netsim net ~trace) ~id:3 ~replicas ~timeout:400.0 () in
       let got = ref 0 in
-      Client.request client ~cmd:(deposit 0 100) ~on_reply:(fun _ ~latency:_ ->
+      Client.request client ~cmd:(incr_op "acct0" 100) ~on_reply:(fun _ ~latency:_ ->
           incr got);
       (* Crash the contacted replica (index 0) immediately: the command may
          or may not have been broadcast; the retry path must give
          exactly-once semantics either way. *)
       ignore
         (Engine.schedule engine ~delay:2.0 (fun () ->
-             Active_gb.crash (List.hd servers)));
+             Gcs.Gcs_stack.crash (Replica.stack (List.hd servers))));
       Engine.run ~until:60_000.0 engine;
       check_int "exactly one reply" 1 !got;
-      let survivors = List.tl servers in
-      let snaps = List.map Active_gb.snapshot survivors in
       List.iter
-        (fun s ->
-          match s with
-          | Sm.Bank.Bank_state [ (0, 100) ] -> ()
-          | Sm.Bank.Bank_state [] -> Alcotest.fail "command lost"
+        (fun r ->
+          let kv = Replica.kv r in
+          match Kv.get kv "acct0" with
+          | Some "100" when Kv.applied_count kv = 1 -> ()
+          | None -> Alcotest.fail "command lost"
           | _ -> Alcotest.fail "double apply or bad state")
-        snaps)
+        (List.tl servers))
 
 (* ---------- passive replication over generic broadcast ---------- *)
 
@@ -413,7 +409,6 @@ let suite =
           test_bank_snapshot_roundtrip;
         QCheck_alcotest.to_alcotest prop_deposits_commute;
         QCheck_alcotest.to_alcotest prop_kv_conflict_symmetric;
-        Alcotest.test_case "counter machine" `Quick test_counter_machine;
         Alcotest.test_case "active basic" `Quick test_active_basic;
         Alcotest.test_case "active contact crash exactly-once" `Slow
           test_active_contact_crash_exactly_once;

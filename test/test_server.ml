@@ -3,7 +3,8 @@
    dropped unsynced), restarted from its data directory and sponsored back
    in, must rejoin on the sponsor's full image and end with the same state
    as its peers.  The loopback smoke script drives the same path across
-   processes; this brings it into the unit suite. *)
+   processes; this brings it into the unit suite.  The same replica core
+   also runs the path in virtual time, behind its simulator front door. *)
 
 module Evloop = Gc_runtime_unix.Evloop
 module Fconn = Gc_runtime_unix.Fconn
@@ -13,6 +14,11 @@ module Proto = Gc_server.Proto
 module Kv = Gc_server.Kv
 module Stack = Gcs.Gcs_stack
 module Metrics = Gc_obs.Metrics
+module Replica = Gc_server.Replica
+module Engine = Gc_sim.Engine
+module Netsim = Gc_net.Netsim
+module Storage = Gc_kernel.Storage
+module Client = Gc_replication.Client
 
 let nodes = 3
 let lo = Unix.inet_addr_loopback
@@ -100,11 +106,73 @@ let test_crash_rejoin_full_image () =
     ~finally:(fun () -> Array.iter Test_storage.rm_rf dirs)
     (fun () -> crash_rejoin dirs)
 
+(* The same crash-restart-rejoin in the simulator: three replicas on
+   in-memory stores take mixed load from three clients, one of which
+   starts at replica 2 and one of which only knows replica 2.  Replica 2
+   is killed under load, restarted on its store (the replica bumps its
+   boot epoch from the stored one) and sponsored back in by replica 0.
+   Every request must be answered and every replica must end with the
+   same state. *)
+let test_sim_crash_rejoin () =
+  let engine = Engine.create ~seed:5L () in
+  let trace = Gc_sim.Trace.create () in
+  let net = Netsim.create engine ~trace ~delay:Gc_net.Delay.lan ~n:(nodes + 3) () in
+  let stores = Array.init nodes (fun _ -> Storage.in_memory ()) in
+  let start ?join_via id =
+    Replica.create_rpc (Gc_kernel.Runtime.of_netsim net ~trace) ~id ~initial
+      ?join_via ~storage:stores.(id) ()
+  in
+  let replicas = Array.init nodes (fun id -> start id) in
+  let client id targets =
+    Client.create (Gc_kernel.Runtime.of_netsim net ~trace) ~id ~replicas:targets ()
+  in
+  let via_0 = client nodes [ 0; 1; 2 ] and via_2 = client (nodes + 1) [ 2; 1; 0 ] in
+  let only_2 = client (nodes + 2) [ 2 ] in
+  let requested = ref 0 and answered = ref 0 in
+  (* [ops] requests from [clients] in turn, one every 5 ms from [at]. *)
+  let load ~at ~ops clients =
+    for i = 0 to ops - 1 do
+      let c = List.nth clients (i mod List.length clients) in
+      let k = !requested in
+      incr requested;
+      let cmd =
+        if k mod 4 = 0 then
+          Proto.Cl_put { rid = 0; key = Printf.sprintf "k%d" (k mod 5); value = string_of_int k }
+        else Proto.Cl_incr { rid = 0; key = "hits"; delta = 1 }
+      in
+      ignore
+        (Engine.schedule engine ~delay:(at +. (5.0 *. float_of_int i)) (fun () ->
+             Client.request c ~cmd ~on_reply:(fun _ ~latency:_ -> incr answered)))
+    done
+  in
+  load ~at:300.0 ~ops:300 [ via_0; via_2 ];
+  ignore
+    (Engine.schedule engine ~delay:1_000.0 (fun () ->
+         Stack.crash (Replica.stack replicas.(2))));
+  load ~at:2_000.0 ~ops:100 [ via_0; via_2 ];
+  ignore
+    (Engine.schedule engine ~delay:3_000.0 (fun () ->
+         Netsim.recover net 2;
+         replicas.(2) <- start ~join_via:0 2));
+  load ~at:4_000.0 ~ops:150 [ via_0; via_2; only_2 ];
+  Engine.run ~until:60_000.0 engine;
+  Alcotest.(check int) "every request answered" !requested !answered;
+  let dump i = Kv.dump (Replica.kv replicas.(i)) in
+  Alcotest.(check string) "replica 1 matches replica 0" (dump 0) (dump 1);
+  Alcotest.(check string) "replica 2 matches replica 0" (dump 0) (dump 2);
+  Alcotest.(check bool) "replica 2 replayed its log" true
+    (Metrics.counter (Replica.metrics replicas.(2)) "server.recovered_ops" > 0);
+  Alcotest.(check bool) "the restarted replica served clients" true
+    (Metrics.counter (Replica.metrics replicas.(2)) "server.applied" > 0
+    && Metrics.hist_count (Replica.metrics replicas.(2)) "server.latency_ms" > 0)
+
 let suite =
   [
     ( "server",
       [
         Alcotest.test_case "crash and rejoin on the full image" `Quick
           test_crash_rejoin_full_image;
+        Alcotest.test_case "crash and rejoin in virtual time" `Quick
+          test_sim_crash_rejoin;
       ] );
   ]
