@@ -4,12 +4,7 @@ module Rb = Gc_rbcast.Reliable_broadcast
 module Consensus = Gc_consensus.Consensus
 module Sorted = Gc_sim.Sorted
 
-type msg = {
-  origin : int;
-  mseq : int;
-  body : Gc_net.Payload.t;
-  sent_at : float; (* origin's clock at submit, for its latency metric *)
-}
+type msg = { origin : int; mseq : int; body : Gc_net.Payload.t }
 
 let msg_id m = (m.origin, m.mseq)
 
@@ -25,16 +20,16 @@ end)
 module Delivered = Gc_kernel.Delivered_set
 
 type Gc_net.Payload.t +=
-  | Ab_data of msg
   | Ab_batch of msg list
   | Ab_submit of msg list
-        (* several submissions from one origin riding one reliable
+        (* one or more submissions from one origin riding one reliable
            broadcast; distinct from [Ab_batch], which is a consensus
            proposal value *)
 
 let () =
   Gc_net.Payload.register_printer (function
-    | Ab_data m ->
+    | Ab_submit [ m ] ->
+        (* A lone submission prints as the plain message it carries. *)
         Some
           (Printf.sprintf "ab.data#%d.%d(%s)" m.origin m.mseq
              (Gc_net.Payload.to_string m.body))
@@ -62,23 +57,17 @@ let () =
   let write_msg enc w m =
     W.varint w m.origin;
     W.varint w m.mseq;
-    W.f64 w m.sent_at;
     enc w m.body
   in
   let read_msg dec r =
     let origin = W.read_varint r in
     let mseq = W.read_varint r in
-    let sent_at = W.read_f64 r in
     let body = dec r in
-    { origin; mseq; sent_at; body }
+    { origin; mseq; body }
   in
   Gc_net.Payload.register_codec ~tag:"ab"
     ~encode:(fun enc w p ->
       match p with
-      | Ab_data m ->
-          W.u8 w 0;
-          write_msg enc w m;
-          true
       | Ab_batch l ->
           W.u8 w 1;
           W.list w (write_msg enc) l;
@@ -90,7 +79,6 @@ let () =
       | _ -> false)
     ~decode:(fun dec r ->
       match W.read_u8 r with
-      | 0 -> Ab_data (read_msg dec r)
       | 1 -> Ab_batch (W.read_list r (read_msg dec))
       | 2 -> Ab_submit (W.read_list r (read_msg dec))
       | k -> Gc_net.Payload.malformed (Printf.sprintf "ab constructor %d" k))
@@ -108,7 +96,10 @@ type t = {
   proposed : (int, unit) Hashtbl.t; (* pruned below next_to_apply *)
   decided_batches : (int, msg list) Hashtbl.t; (* out-of-order decisions *)
   mutable max_solicited : int;
-  mutable submit_batch : msg Batcher.t option;
+  submit_batch : msg Batcher.t;
+  sent_at : (int, float) Hashtbl.t;
+      (* own mseq -> local clock at submit, until local delivery: the
+         latency metric's stamp never leaves this process *)
   mutable subscribers : (origin:int -> Gc_net.Payload.t -> unit) list;
   mutable n_delivered : int;
 }
@@ -152,6 +143,13 @@ let try_start t =
     end
   end
 
+let observe_latency t mseq =
+  match Hashtbl.find_opt t.sent_at mseq with
+  | Some at ->
+      Hashtbl.remove t.sent_at mseq;
+      Process.observe t.proc "abcast.latency_ms" (Process.now t.proc -. at)
+  | None -> ()
+
 let apply_decisions t =
   let rec loop () =
     match Hashtbl.find_opt t.decided_batches t.next_to_apply with
@@ -169,11 +167,8 @@ let apply_decisions t =
               pending_remove t id;
               t.n_delivered <- t.n_delivered + 1;
               Process.incr t.proc "abcast.delivered";
-              (* [sent_at] is the origin's clock: only the origin can
-                 subtract it from its own [now]. *)
               if m.origin = Process.id t.proc then
-                Process.observe t.proc "abcast.latency_ms"
-                  (Process.now t.proc -. m.sent_at);
+                observe_latency t m.mseq;
               if Process.traced t.proc then
                 Process.event t.proc ~component:"abcast"
                   ~kind:Gc_obs.Event.Deliver
@@ -210,34 +205,36 @@ let on_solicit t ~inst =
 let create proc ~rc ~rb ~fd ?(suspect_timeout = 200.0) ?(adaptive = false)
     ?(batch_max = 1) ?(batch_delay = 1.0) ?(epoch = 0) ~members () =
   if batch_max < 1 then invalid_arg "Atomic_broadcast.create: batch_max < 1";
-  let t =
-    {
-      proc;
-      rb;
-      consensus = None;
-      member_list = members;
-      next_mseq = Delivered.first_seq ~epoch;
-      next_to_apply = 0;
-      pending = Pending.empty;
-      pending_n = 0;
-      delivered = Delivered.create ();
-      proposed = Hashtbl.create 64;
-      decided_batches = Hashtbl.create 16;
-      max_solicited = -1;
-      submit_batch = None;
-      subscribers = [];
-      n_delivered = 0;
-    }
+  (* Lazy only to tie the knot: the batcher's emit reads the live member
+     list, and it cannot run before [create] returns. *)
+  let rec t =
+    lazy
+      {
+        proc;
+        rb;
+        consensus = None;
+        member_list = members;
+        next_mseq = Delivered.first_seq ~epoch;
+        next_to_apply = 0;
+        pending = Pending.empty;
+        pending_n = 0;
+        delivered = Delivered.create ();
+        proposed = Hashtbl.create 64;
+        decided_batches = Hashtbl.create 16;
+        max_solicited = -1;
+        submit_batch =
+          Batcher.create proc ~metric:"abcast.submit_batch_size"
+            ~max_batch:batch_max ~max_delay:batch_delay
+            ~emit:(fun ms ->
+              let t = Lazy.force t in
+              Rb.broadcast t.rb ~dests:t.member_list (Ab_submit ms))
+            ();
+        sent_at = Hashtbl.create 64;
+        subscribers = [];
+        n_delivered = 0;
+      }
   in
-  t.submit_batch <-
-    Some
-      (Batcher.create proc ~metric:"abcast.submit_batch_size"
-         ~max_batch:batch_max ~max_delay:batch_delay
-         ~emit:(fun ms ->
-           match ms with
-           | [ m ] -> Rb.broadcast t.rb ~dests:t.member_list (Ab_data m)
-           | ms -> Rb.broadcast t.rb ~dests:t.member_list (Ab_submit ms))
-         ());
+  let t = Lazy.force t in
   Process.incr ~by:0 proc "abcast.delivered";
   let consensus =
     Consensus.create proc ~rc ~rb ~fd ~suspect_timeout ~adaptive
@@ -249,14 +246,6 @@ let create proc ~rc ~rb ~fd ?(suspect_timeout = 200.0) ?(adaptive = false)
   t.consensus <- Some consensus;
   Rb.on_deliver rb (fun ~origin:_ payload ->
       match payload with
-      | Ab_data m ->
-          let id = msg_id m in
-          if not (Delivered.mem t.delivered id || Pending.mem id t.pending)
-          then begin
-            pending_add t id m;
-            note_pending t;
-            try_start t
-          end
       | Ab_submit ms ->
           (* One pending-set update and one proposal attempt for the whole
              batch: the point of submit batching. *)
@@ -279,26 +268,18 @@ let create proc ~rc ~rb ~fd ?(suspect_timeout = 200.0) ?(adaptive = false)
 
 let abcast t body =
   if member t then begin
-    let m =
-      {
-        origin = Process.id t.proc;
-        mseq = t.next_mseq;
-        body;
-        sent_at = Process.now t.proc;
-      }
-    in
+    let m = { origin = Process.id t.proc; mseq = t.next_mseq; body } in
+    Hashtbl.replace t.sent_at m.mseq (Process.now t.proc);
     t.next_mseq <- t.next_mseq + 1;
     Process.incr t.proc "abcast.submitted";
     if Process.traced t.proc then
       Process.event t.proc ~component:"abcast" ~kind:Gc_obs.Event.Send
         ~msg:(Printf.sprintf "ab:%d.%d" m.origin m.mseq)
         ();
-    match t.submit_batch with
-    | Some b -> Batcher.add b m
-    | None -> Rb.broadcast t.rb ~dests:t.member_list (Ab_data m)
+    Batcher.add t.submit_batch m
   end
 
-let flush t = match t.submit_batch with Some b -> Batcher.flush b | None -> ()
+let flush t = Batcher.flush t.submit_batch
 let on_deliver t f = t.subscribers <- f :: t.subscribers
 let set_members t members = t.member_list <- members
 let members t = t.member_list
@@ -318,6 +299,13 @@ let bootstrap t ~next_instance ~members ~delivered =
   t.pending <-
     Pending.filter (fun id _ -> not (Delivered.mem t.delivered id)) t.pending;
   t.pending_n <- Pending.cardinal t.pending;
+  (* Own submissions the transferred set covers are never delivered here:
+     their stamps go with them. *)
+  let me = Process.id t.proc in
+  Hashtbl.filter_map_inplace
+    (fun mseq at ->
+      if Delivered.mem t.delivered (me, mseq) then None else Some at)
+    t.sent_at;
   note_pending t;
   (* Decisions that raced ahead of the state transfer may already be waiting;
      apply them from the new starting point. *)

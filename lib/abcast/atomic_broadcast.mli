@@ -51,10 +51,15 @@ val create :
     [batch_max] (default 1 = unbatched) and [batch_delay] (default 1 ms)
     batch submissions through a size/tick watermark ({!Batcher}): up to
     [batch_max] messages from this origin ride one reliable broadcast
-    ([Ab_submit]) and enter the pending set with a single proposal attempt,
-    amortising the O(n^2) relay cost.  Consensus proposals were already
-    batched (the whole pending set per instance); this batches the {e
-    submission} side too. *)
+    ([Ab_submit], the only submission shape; with [batch_max = 1] each
+    carries one message) and enter the pending set with a single proposal
+    attempt, amortising the O(n^2) relay cost.  Consensus proposals were
+    already batched (the whole pending set per instance); this batches the
+    {e submission} side too.
+
+    The [abcast.latency_ms] histogram is observed at the origin only, from
+    a submit-time stamp this process keeps until it delivers the message;
+    no clock reading crosses the wire. *)
 
 val abcast : t -> Gc_net.Payload.t -> unit
 (** Broadcast [payload] to the current members with total-order delivery.

@@ -51,21 +51,15 @@ let flush t =
   end
 
 let add t x =
-  if t.max_batch = 1 then begin
-    observe t 1;
-    t.emit [ x ]
-  end
-  else begin
-    t.buf <- x :: t.buf;
-    t.buf_n <- t.buf_n + 1;
-    if t.buf_n >= t.max_batch then flush t
-    else if not t.armed then begin
-      t.armed <- true;
-      let gen = t.gen in
-      ignore
-        (Process.timer t.proc ~delay:t.max_delay (fun () ->
-             if t.gen = gen then flush t))
-    end
+  t.buf <- x :: t.buf;
+  t.buf_n <- t.buf_n + 1;
+  if t.buf_n >= t.max_batch then flush t
+  else if not t.armed then begin
+    t.armed <- true;
+    let gen = t.gen in
+    ignore
+      (Process.timer t.proc ~delay:t.max_delay (fun () ->
+           if t.gen = gen then flush t))
   end
 
 let length t = t.buf_n

@@ -10,9 +10,10 @@
     watermark) or [max_delay] milliseconds after the first buffered item
     (the tick watermark), whichever comes first.
 
-    With [max_batch = 1] the batcher degenerates to the unbatched path:
-    every [add] emits immediately and no timer is ever armed, so existing
-    single-message wire traffic (and its traces) is byte-identical.
+    With [max_batch = 1] every [add] reaches the size watermark at once:
+    it emits a one-element list immediately and never arms a timer, which
+    is the unbatched protocol's traffic (one-element containers print as
+    the plain message they carry).
 
     Timers come from {!Gc_kernel.Process}, so flushes are deterministic
     under the simulator and alive-guarded (a crashed process never emits a

@@ -44,8 +44,6 @@ module Config = struct
   type t = config
   type runtime = Sim | Unix
 
-  let default = default_config
-
   (* Wall-clock timing for the real-network backend: heartbeats and
      timeouts that are comfortable in simulated milliseconds would flap
      under OS scheduling jitter and TCP round-trips. *)

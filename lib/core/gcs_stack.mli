@@ -83,9 +83,6 @@ module Config : sig
           [consensus_timeout] 1s, [exclusion_timeout] 8s, [rto] 150ms,
           [stuck_after] 30s).  Explicit arguments always win. *)
 
-  val default : t
-  (** Same value as {!default_config}. *)
-
   val unix_default : t
   (** The [Unix] timing baseline, i.e. [make ~runtime:Unix ()]. *)
 
@@ -106,7 +103,7 @@ module Config : sig
     unit ->
     t
   (** Every omitted argument takes its value from the [runtime] baseline
-      ({!default} for [Sim], {!unix_default} for [Unix]); the historical
+      ({!default_config} for [Sim], {!unix_default} for [Unix]); the historical
       arity [make ()] is unchanged and means [make ~runtime:Sim ()]. *)
 end
 

@@ -6,27 +6,23 @@ module Batcher = Gc_abcast.Batcher
 module Delivered = Gc_kernel.Delivered_set
 module Sorted = Gc_sim.Sorted
 
-type msg = {
-  origin : int;
-  gseq : int;
-  body : Gc_net.Payload.t;
-  sent_at : float; (* origin's clock at submit, for its latency metric *)
-}
+type msg = { origin : int; gseq : int; body : Gc_net.Payload.t }
 
 let msg_id m = (m.origin, m.gseq)
 let compare_msg a b = compare (msg_id a) (msg_id b)
 
 type Gc_net.Payload.t +=
-  | Gb_fast of msg
   | Gb_fast_batch of msg list
-  | Gb_ack of { id : int * int; stage : int }
   | Gb_acks of ((int * int) * int) list (* (id, stage) per acknowledged msg *)
   | Gb_state of { stage : int; acked : msg list; pending : msg list }
   | Gb_cut of { stage : int; first : msg list; rest : msg list }
 
 let () =
   Gc_net.Payload.register_printer (function
-    | Gb_fast m -> Some (Printf.sprintf "gb.fast#%d.%d" m.origin m.gseq)
+    (* One-element containers print as the plain message or ack they
+       carry. *)
+    | Gb_fast_batch [ m ] ->
+        Some (Printf.sprintf "gb.fast#%d.%d" m.origin m.gseq)
     | Gb_fast_batch ms ->
         Some
           (Printf.sprintf "gb.fastbatch[%s]"
@@ -34,7 +30,7 @@ let () =
                 (List.map
                    (fun m -> Printf.sprintf "%d.%d" m.origin m.gseq)
                    ms)))
-    | Gb_ack { id = o, s; stage } ->
+    | Gb_acks [ ((o, s), stage) ] ->
         Some (Printf.sprintf "gb.ack#%d.%d@%d" o s stage)
     | Gb_acks l ->
         Some
@@ -56,15 +52,13 @@ let () =
   let write_msg enc w m =
     W.varint w m.origin;
     W.varint w m.gseq;
-    W.f64 w m.sent_at;
     enc w m.body
   in
   let read_msg dec r =
     let origin = W.read_varint r in
     let gseq = W.read_varint r in
-    let sent_at = W.read_f64 r in
     let body = dec r in
-    { origin; gseq; sent_at; body }
+    { origin; gseq; body }
   in
   let write_ack w ((o, s), stage) =
     W.triple w W.varint W.varint W.varint (o, s, stage)
@@ -76,16 +70,6 @@ let () =
   Gc_net.Payload.register_codec ~tag:"gb"
     ~encode:(fun enc w p ->
       match p with
-      | Gb_fast m ->
-          W.u8 w 0;
-          write_msg enc w m;
-          true
-      | Gb_ack { id = o, s; stage } ->
-          W.u8 w 1;
-          W.varint w o;
-          W.varint w s;
-          W.varint w stage;
-          true
       | Gb_state { stage; acked; pending } ->
           W.u8 w 2;
           W.varint w stage;
@@ -109,12 +93,6 @@ let () =
       | _ -> false)
     ~decode:(fun dec r ->
       match W.read_u8 r with
-      | 0 -> Gb_fast (read_msg dec r)
-      | 1 ->
-          let o = W.read_varint r in
-          let s = W.read_varint r in
-          let stage = W.read_varint r in
-          Gb_ack { id = (o, s); stage }
       | 2 ->
           let stage = W.read_varint r in
           let acked = W.read_list r (read_msg dec) in
@@ -130,6 +108,10 @@ let () =
       | k -> Gc_net.Payload.malformed (Printf.sprintf "gb constructor %d" k))
 
 type ack_mode = Two_thirds | All_members
+
+(* Stage-change proposals are staggered by member rank, [cut_backoff] ms
+   apart, so that normally a single cut is broadcast. *)
+let cut_backoff = 15.0
 
 type t = {
   proc : Process.t;
@@ -159,9 +141,11 @@ type t = {
   states : (int, (int, msg list * msg list) Hashtbl.t) Hashtbl.t;
   cut_proposed : (int, unit) Hashtbl.t;
   cut_timer_armed : (int, unit) Hashtbl.t;
-  cut_backoff : float;
-  mutable submit_batch : msg Batcher.t option;
-  mutable ack_batch : ((int * int) * int) Batcher.t option;
+  submit_batch : msg Batcher.t;
+  ack_batch : ((int * int) * int) Batcher.t;
+  sent_at : (int, float) Hashtbl.t;
+      (* own gseq -> local clock at submit, until local delivery: the
+         latency metric's stamp never leaves this process *)
   mutable subscribers : (origin:int -> Gc_net.Payload.t -> unit) list;
   mutable n_delivered : int;
   mutable n_fast : int;
@@ -226,6 +210,13 @@ let log_delivery t m =
                   }))
       | Error _ -> Process.incr t.proc "storage.append_skipped")
 
+let observe_latency t gseq =
+  match Hashtbl.find_opt t.sent_at gseq with
+  | Some at ->
+      Hashtbl.remove t.sent_at gseq;
+      Process.observe t.proc "gbcast.latency_ms" (Process.now t.proc -. at)
+  | None -> ()
+
 let deliver t m =
   let id = msg_id m in
   if Delivered.add t.delivered id then begin
@@ -241,11 +232,7 @@ let deliver t m =
     log_delivery t m;
     t.n_delivered <- t.n_delivered + 1;
     Process.incr t.proc "gbcast.delivered";
-    (* [sent_at] is the origin's clock: only the origin can subtract it
-       from its own [now]. *)
-    if m.origin = Process.id t.proc then
-      Process.observe t.proc "gbcast.latency_ms"
-        (Process.now t.proc -. m.sent_at);
+    if m.origin = Process.id t.proc then observe_latency t m.gseq;
     if Process.traced t.proc then
       (* The conflict class rides along so the auditor can tell which
          delivery pairs must agree in order: a message conflicting with
@@ -361,7 +348,7 @@ and try_cut t =
       Hashtbl.replace t.cut_timer_armed t.stage ();
       let stage = t.stage in
       ignore
-        (Process.timer t.proc ~delay:(float_of_int rank *. t.cut_backoff)
+        (Process.timer t.proc ~delay:(float_of_int rank *. cut_backoff)
            (fun () ->
              (* Re-armable: if the cut cannot be built yet (states still
                 missing in two-thirds mode), the next recorded state retries. *)
@@ -440,9 +427,7 @@ let rec examine t m =
     else begin
       Hashtbl.replace t.stage_history id m;
       Hashtbl.replace (ack_set t id t.stage) (Process.id t.proc) ();
-      (match t.ack_batch with
-      | Some b -> Batcher.add b (id, t.stage)
-      | None -> send_all t (Gb_ack { id; stage = t.stage }));
+      Batcher.add t.ack_batch (id, t.stage);
       try_fast_deliver t id
     end
   end
@@ -474,8 +459,7 @@ and try_fast_deliver t id =
    produced them: one [Gb_acks] vector per incoming fast batch instead of
    n-1 unicasts per message (the batcher's tick watermark is only a safety
    net). *)
-let flush_acks t =
-  match t.ack_batch with Some b -> Batcher.flush b | None -> ()
+let flush_acks t = Batcher.flush t.ack_batch
 
 let reexamine_pending t =
   List.iter (fun m -> examine t m) (pending_msgs t)
@@ -524,78 +508,63 @@ let apply_cut t ~stage ~first ~rest =
   end
 
 let create proc ~rc ~rb ~ab ~conflict ?(ack_mode = Two_thirds)
-    ?(cut_backoff = 15.0) ?(batch_max = 1) ?(batch_delay = 1.0) ?storage
-    ?(epoch = 0) ~members () =
+    ?(batch_max = 1) ?(batch_delay = 1.0) ?storage ?(epoch = 0) ~members () =
   if batch_max < 1 then invalid_arg "Generic_broadcast.create: batch_max < 1";
-  let t =
-    {
-      proc;
-      rb;
-      rc;
-      ab;
-      storage;
-      conflict = Conflict.check conflict;
-      index = Conflict_index.create conflict;
-      ack_mode;
-      member_list = members;
-      next_gseq = Delivered.first_seq ~epoch;
-      stage = 0;
-      frozen = false;
-      pending = Hashtbl.create 64;
-      stage_history = Hashtbl.create 64;
-      delivered = Delivered.create ();
-      ack_counts = Hashtbl.create 256;
-      states = Hashtbl.create 8;
-      cut_proposed = Hashtbl.create 8;
-      cut_timer_armed = Hashtbl.create 8;
-      cut_backoff;
-      submit_batch = None;
-      ack_batch = None;
-      subscribers = [];
-      n_delivered = 0;
-      n_fast = 0;
-      froze_at = 0.0;
-    }
+  (* Lazy only to tie the knot: the batchers' emits read the live member
+     list, and they cannot run before [create] returns. *)
+  let rec t =
+    lazy
+      {
+        proc;
+        rb;
+        rc;
+        ab;
+        storage;
+        conflict = Conflict.check conflict;
+        index = Conflict_index.create conflict;
+        ack_mode;
+        member_list = members;
+        next_gseq = Delivered.first_seq ~epoch;
+        stage = 0;
+        frozen = false;
+        pending = Hashtbl.create 64;
+        stage_history = Hashtbl.create 64;
+        delivered = Delivered.create ();
+        ack_counts = Hashtbl.create 256;
+        states = Hashtbl.create 8;
+        cut_proposed = Hashtbl.create 8;
+        cut_timer_armed = Hashtbl.create 8;
+        submit_batch =
+          Batcher.create proc ~metric:"gbcast.batch_size" ~max_batch:batch_max
+            ~max_delay:batch_delay
+            ~emit:(fun ms ->
+              let t = Lazy.force t in
+              Rb.broadcast t.rb ~dests:t.member_list (Gb_fast_batch ms))
+            ();
+        (* Acks batch only when submissions do: with [batch_max = 1] each
+           ack leaves at once, the unbatched protocol's traffic. *)
+        ack_batch =
+          Batcher.create proc ~metric:"gbcast.ack_batch_size"
+            ~max_batch:(if batch_max = 1 then 1 else max batch_max 16)
+            ~max_delay:batch_delay
+            ~emit:(fun l -> send_all (Lazy.force t) (Gb_acks l))
+            ();
+        sent_at = Hashtbl.create 64;
+        subscribers = [];
+        n_delivered = 0;
+        n_fast = 0;
+        froze_at = 0.0;
+      }
   in
+  let t = Lazy.force t in
   Process.incr ~by:0 proc "gbcast.fast_deliveries";
   Process.incr ~by:0 proc "gbcast.cut_deliveries";
-  t.submit_batch <-
-    Some
-      (Batcher.create proc ~metric:"gbcast.batch_size" ~max_batch:batch_max
-         ~max_delay:batch_delay
-         ~emit:(fun ms ->
-           match ms with
-           | [ m ] -> Rb.broadcast t.rb ~dests:t.member_list (Gb_fast m)
-           | ms -> Rb.broadcast t.rb ~dests:t.member_list (Gb_fast_batch ms))
-         ());
-  (* Acks only batch when submissions do: with [batch_max = 1] the wire
-     traffic stays exactly the per-message [Gb_ack] of the unbatched
-     protocol. *)
-  if batch_max > 1 then
-    t.ack_batch <-
-      Some
-        (Batcher.create proc ~metric:"gbcast.ack_batch_size"
-           ~max_batch:(max batch_max 16) ~max_delay:batch_delay
-           ~emit:(fun l ->
-             match l with
-             | [ (id, stage) ] -> send_all t (Gb_ack { id; stage })
-             | l -> send_all t (Gb_acks l))
-           ());
   Rb.on_deliver rb (fun ~origin:_ payload ->
       match payload with
-      | Gb_fast m ->
-          let id = msg_id m in
-          if not (Delivered.mem t.delivered id || Hashtbl.mem t.pending id)
-          then begin
-            track_pending t id m;
-            examine t m
-          end;
-          flush_acks t;
-          note_occupancy t
       | Gb_fast_batch ms ->
-          (* Messages are tracked and examined in submission order, exactly
-             as if they had arrived as consecutive singletons — per-sender
-             FIFO and intra-batch conflict behaviour are unchanged. *)
+          (* Messages are tracked and examined in submission order, so
+             per-sender FIFO and intra-batch conflict behaviour do not
+             depend on how the submissions were batched. *)
           List.iter
             (fun m ->
               let id = msg_id m in
@@ -611,9 +580,6 @@ let create proc ~rc ~rb ~ab ~conflict ?(ack_mode = Two_thirds)
       | _ -> ());
   Rc.on_deliver rc (fun ~src payload ->
       match payload with
-      | Gb_ack { id; stage } ->
-          record_ack t ~src id stage;
-          if stage = t.stage then try_fast_deliver t id
       | Gb_acks l ->
           List.iter
             (fun (id, stage) ->
@@ -645,27 +611,19 @@ let create proc ~rc ~rb ~ab ~conflict ?(ack_mode = Two_thirds)
 
 let gbcast t body =
   if member t then begin
-    let m =
-      {
-        origin = Process.id t.proc;
-        gseq = t.next_gseq;
-        body;
-        sent_at = Process.now t.proc;
-      }
-    in
+    let m = { origin = Process.id t.proc; gseq = t.next_gseq; body } in
+    Hashtbl.replace t.sent_at m.gseq (Process.now t.proc);
     t.next_gseq <- t.next_gseq + 1;
     Process.incr t.proc "gbcast.submitted";
     if Process.traced t.proc then
       Process.event t.proc ~component:"gbcast" ~kind:Gc_obs.Event.Send
         ~msg:(Printf.sprintf "gb:%d.%d" m.origin m.gseq)
         ();
-    match t.submit_batch with
-    | Some b -> Batcher.add b m
-    | None -> Rb.broadcast t.rb ~dests:t.member_list (Gb_fast m)
+    Batcher.add t.submit_batch m
   end
 
 let flush t =
-  (match t.submit_batch with Some b -> Batcher.flush b | None -> ());
+  Batcher.flush t.submit_batch;
   flush_acks t
 
 let on_deliver t f = t.subscribers <- f :: t.subscribers
@@ -684,6 +642,13 @@ let ack_tallies t =
 let bootstrap t ~stage ~delivered =
   t.stage <- stage;
   Delivered.union_into ~into:t.delivered delivered;
+  (* Own submissions the transferred set covers are never delivered here:
+     their stamps go with them. *)
+  let me = Process.id t.proc in
+  Hashtbl.filter_map_inplace
+    (fun gseq at ->
+      if Delivered.mem t.delivered (me, gseq) then None else Some at)
+    t.sent_at;
   (* States published by members already frozen in this stage may be waiting. *)
   if Hashtbl.length (state_table t t.stage) > 0 then begin
     freeze t;

@@ -67,7 +67,6 @@ val create :
   ab:Gc_abcast.Atomic_broadcast.t ->
   conflict:Conflict.t ->
   ?ack_mode:ack_mode ->
-  ?cut_backoff:float ->
   ?batch_max:int ->
   ?batch_delay:float ->
   ?storage:Gc_kernel.Storage.t ->
@@ -76,9 +75,9 @@ val create :
   unit ->
   t
 (** [ack_mode] defaults to [Two_thirds] (the paper-cited algorithm); the
-    full stack uses [All_members] for [f < n/2] robustness.  [cut_backoff]
-    (default 15 ms) staggers stage-change proposals by member rank so that
-    normally a single cut is broadcast.
+    full stack uses [All_members] for [f < n/2] robustness.  Stage-change
+    proposals are staggered by member rank, 15 ms apart, so that normally a
+    single cut is broadcast.
 
     [conflict] may be a bare pairwise relation or an indexed class
     specification ({!Conflict.t}); indexed specifications make the
@@ -90,8 +89,8 @@ val create :
     up to [batch_max] messages ride one reliable broadcast, and their
     fast-path acknowledgements ride one vector, amortising the O(n^2)
     relay and O(n) ack cost per application message.  Per-sender FIFO is
-    preserved; with [batch_max = 1] the wire traffic is exactly the
-    unbatched protocol's.
+    preserved; with [batch_max = 1] every message and every ack leaves at
+    once in a one-element container, the unbatched protocol's traffic.
 
     [storage], when given, receives one {!Gc_kernel.Storage.Record} per
     g-delivered message, appended between duplicate suppression and the

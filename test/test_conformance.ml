@@ -254,8 +254,8 @@ module Conformance (B : Backend) = struct
   (* The batching obligation (DESIGN.md Section 15): every backend must
      route submissions through the batcher (the stack default is
      [batch_max = 64]) and expose the batching telemetry — the same wire
-     vocabulary ([Gb_fast_batch]/[Ab_submit] and their singleton
-     degenerations) on sim and TCP alike. *)
+     vocabulary ([Gb_fast_batch]/[Ab_submit], one message or many) on
+     sim and TCP alike. *)
   let test_batching_engaged () =
     let _, metrics = B.run_scenario () in
     let module M = Gc_obs.Metrics in

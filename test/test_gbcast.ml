@@ -259,12 +259,14 @@ let test_ack_tallies_bounded () =
   done;
   check_bool "in-flight tallies stay small" true (!peak < 200)
 
-(* The latency histograms subtract [sent_at], stamped on the origin's
-   clock, so only the origin may observe them.  Node [i]'s clock here runs
-   [i * 5000] ms ahead, as separately started servers' clocks do on the
-   unix backend; a replica reading another origin's [sent_at] would record
-   about +-5000 ms. *)
-let test_latency_on_origin_clock () =
+(* The latency histograms subtract a submit-time stamp that the origin
+   keeps on its own clock, so only the origin may observe them.  Node
+   [i]'s clock here runs [i * 5000] ms ahead, as separately started
+   servers' clocks do on the unix backend; a replica subtracting another
+   origin's stamp would record about +-5000 ms.  Both layers run unbatched
+   and with [batch_max = 3], so the stamps are also found through
+   multi-message containers. *)
+let latency_on_origin_clock batch_max =
   let n = 3 in
   let skew i (r : Gc_kernel.Runtime.t) =
     { r with now = (fun () -> r.now () +. (5000.0 *. float_of_int i)) }
@@ -273,8 +275,8 @@ let test_latency_on_origin_clock () =
   let abs =
     Array.map
       (fun node ->
-        Ab.create node.proc ~rc:node.rc ~rb:node.rb ~fd:node.fd ~members:(ids n)
-          ())
+        Ab.create node.proc ~rc:node.rc ~rb:node.rb ~fd:node.fd ~batch_max
+          ~members:(ids n) ())
       w.nodes
   in
   let gbs =
@@ -282,7 +284,7 @@ let test_latency_on_origin_clock () =
       (fun i node ->
         Gb.create node.proc ~rc:node.rc ~rb:node.rb ~ab:abs.(i)
           ~conflict:(Conflict.of_relation (Conflict.by_class ~classify))
-          ~members:(ids n) ())
+          ~batch_max ~members:(ids n) ())
       w.nodes
   in
   Array.iteri
@@ -300,7 +302,9 @@ let test_latency_on_origin_clock () =
       check_int "gbcasts originated" 2 (M.counter m "gbcast.submitted");
       List.iter
         (fun (hist, submitted) ->
-          let what = Printf.sprintf "node %d %s" i hist in
+          let what =
+            Printf.sprintf "batch_max %d node %d %s" batch_max i hist
+          in
           check_int (what ^ " counts own messages") (M.counter m submitted)
             (M.hist_count m hist);
           match M.view m hist with
@@ -313,6 +317,9 @@ let test_latency_on_origin_clock () =
           ("abcast.latency_ms", "abcast.submitted");
         ])
     w.nodes
+
+let test_latency_on_origin_clock () =
+  List.iter latency_on_origin_clock [ 1; 3 ]
 
 let prop_generic_order_random =
   QCheck.Test.make ~name:"generic order across random mixed workloads" ~count:8

@@ -327,20 +327,21 @@ let test_hot_path_codec_truncation_and_garbage () =
 (* ---------- fast-path wire length ----------
 
    Golden encoded lengths for the commuting fast path as it crosses TCP:
-   an rchannel data packet carrying a reliable broadcast carrying one
-   gbcast message, or a batch of three.  The three constructors are
-   module-private, so the payload is built by decoding hand-assembled
-   bytes with fixed field values.  A varint below 64 takes one byte and a
-   string is a one-byte length plus its bytes:
+   an rchannel data packet carrying a reliable broadcast carrying a
+   gbcast fast batch of one message or of three (a lone message rides a
+   one-element batch).  The three constructors are module-private, so the
+   payload is built by decoding hand-assembled bytes with fixed field
+   values.  A varint below 64 takes one byte and a string is a one-byte
+   length plus its bytes:
 
      rc envelope  tag "rc" 3 + constructor 1 + gen 1 + seq 1       =  6
      rb envelope  tag "rb" 3 + origin 1 + bid 1 + dests [0;1;2] 4  =  9
-     gb header    tag "gb" 3 + constructor 1 (+ list length 1 in a batch)
-     gb msg       origin 1 + gseq 1 + sent_at 8 + body 11          = 21
+     gb header    tag "gb" 3 + constructor 1 + list length 1       =  5
+     gb msg       origin 1 + gseq 1 + body 11                      = 13
      body         tag "test.wop" 9 + klass 1 + k 1                 = 11
 
-   so 6 + 9 + 4 + 21 = 40 bytes for one message and 6 + 9 + 5 + 3 * 21 =
-   83 for three.  A field added to any envelope changes these numbers. *)
+   so 6 + 9 + 5 + 13 = 33 bytes for one message and 6 + 9 + 5 + 3 * 13 =
+   59 for three.  A field added to any envelope changes these numbers. *)
 
 let fast_path_bytes gseqs =
   let w = Buffer.create 128 in
@@ -356,18 +357,12 @@ let fast_path_bytes gseqs =
   let msg w gseq =
     Wire.varint w 1 (* origin *);
     Wire.varint w gseq;
-    Wire.f64 w 100.0 (* sent_at *);
     Wire.str w "test.wop";
     Wire.u8 w 0 (* klass *);
     Wire.varint w gseq (* k *)
   in
-  (match gseqs with
-  | [ gseq ] ->
-      Wire.u8 w 0 (* Gb_fast *);
-      msg w gseq
-  | gseqs ->
-      Wire.u8 w 4 (* Gb_fast_batch *);
-      Wire.list w msg gseqs);
+  Wire.u8 w 4 (* Gb_fast_batch *);
+  Wire.list w msg gseqs;
   Buffer.contents w
 
 let test_fast_path_wire_length () =
@@ -388,9 +383,35 @@ let test_fast_path_wire_length () =
     | Error e ->
         Alcotest.failf "%s encode: %s" printed (Payload.codec_error_to_string e)
   in
-  check [ 3 ] ~printed:"rc.data#0.5(rb#1.7(gb.fast#1.3))" ~len:40;
+  check [ 3 ] ~printed:"rc.data#0.5(rb#1.7(gb.fast#1.3))" ~len:33;
   check [ 3; 4; 5 ]
-    ~printed:"rc.data#0.5(rb#1.7(gb.fastbatch[1.3;1.4;1.5]))" ~len:83
+    ~printed:"rc.data#0.5(rb#1.7(gb.fastbatch[1.3;1.4;1.5]))" ~len:59
+
+(* The singleton constructors' discriminators (gb 0 = fast, gb 1 = ack,
+   ab 0 = data) are retired: bytes that still carry one are rejected with
+   a typed [Malformed] error, never an exception or a payload. *)
+let test_retired_discriminators () =
+  let retired tag k =
+    let w = Buffer.create 32 in
+    Wire.str w tag;
+    Wire.u8 w k;
+    (* Bytes the retired constructor would have carried after its
+       discriminator. *)
+    Wire.varint w 1;
+    Wire.varint w 3;
+    Wire.varint w 0;
+    match Payload.decode (Buffer.contents w) with
+    | Error (Payload.Malformed _) -> ()
+    | Error e ->
+        Alcotest.failf "%s %d: wrong error %s" tag k
+          (Payload.codec_error_to_string e)
+    | Ok p -> Alcotest.failf "%s %d decoded as %s" tag k (Payload.to_string p)
+    | exception e ->
+        Alcotest.failf "%s %d raised %s" tag k (Printexc.to_string e)
+  in
+  retired "gb" 0;
+  retired "gb" 1;
+  retired "ab" 0
 
 (* ---------- framing ---------- *)
 
@@ -512,6 +533,8 @@ let suite =
           test_hot_path_codec_truncation_and_garbage;
         Alcotest.test_case "fast-path wire length" `Quick
           test_fast_path_wire_length;
+        Alcotest.test_case "retired discriminators are malformed" `Quick
+          test_retired_discriminators;
         Alcotest.test_case "frame round-trip" `Quick test_frame_roundtrip;
         Alcotest.test_case "frame oversized both ways" `Quick
           test_frame_oversized;
