@@ -62,8 +62,9 @@ let run_policy ~policy ~seed =
 let run () =
   section "E8  Exclusion policies of the monitoring component (Section 3.3.2)"
     "the decision to exclude belongs to a separate monitoring component with \
-     flexible policies: aggressive policies exclude fast but wrongly, \
-     corroborated and output-triggered policies stay accurate";
+     flexible policies: suspicions corroborated across processes, or \
+     suspicion triggered by stuck output; long timeouts for exclusion, short \
+     ones for consensus";
   let policies =
     [
       Mon.Immediate;
@@ -101,7 +102,10 @@ let run () =
       ]
     rows;
   conclude
-    "immediate exclusion reacts fastest but wrongly excludes live members \
-     under spikes; threshold policies corroborate suspicions and stay \
-     accurate at a modest detection delay; output-triggered exclusion only \
-     reacts when the channel is actually stuck."
+    "immediate exclusion is the slowest to exclude the crashed member and \
+     the least accurate: it wrongly excludes live members under link \
+     blackouts and shreds the group; requiring corroborating suspectors \
+     filters every wrongful proposal and excludes the crashed member \
+     fastest; output-triggered exclusion fires at its channel-stuck horizon \
+     and still proposes wrongful exclusions, alone or combined with a \
+     threshold."

@@ -1,15 +1,15 @@
 (* gcs_lint — determinism-and-layering static analysis for the GCS repo.
 
-     gcs_lint check [--root DIR] [--no-typed]      lint lib/** bin/ bench/,
+     gcs_lint check [--root DIR]                   lint lib/** bin/ bench/,
                                                    exit 1 on findings
      gcs_lint graph [--root DIR] [--dot FILE]      dump the architecture DAG
      gcs_lint callgraph [--root DIR] [--dot FILE]  dump the event-loop
                                                    reachability graph
 
    Rules and the architecture spec live in lib/lint (Gc_lint.Catalog);
-   DESIGN.md sections 11 and 16 document them.  The typed rules (W2/W3,
-   B1/B2, E2) and the callgraph read the .cmt files of the last build:
-   run `dune build @all` first. *)
+   DESIGN.md sections 11 and 16 document them.  The typed rules (B1/B2,
+   E2) and the callgraph read the .cmt files of the last build: run
+   `dune build @all` first. *)
 
 open Cmdliner
 
@@ -21,15 +21,8 @@ let rules_flag =
   let doc = "Print the rule catalog and exit." in
   Arg.(value & flag & info [ "rules" ] ~doc)
 
-let no_typed_flag =
-  let doc =
-    "Skip the typedtree rules (W2/W3, B1/B2, E2); parsetree and layering \
-     rules only.  Useful before the first build."
-  in
-  Arg.(value & flag & info [ "no-typed" ] ~doc)
-
 let check_cmd =
-  let run root rules no_typed =
+  let run root rules =
     if rules then begin
       List.iter
         (fun r -> Printf.printf "%-3s %s\n" r (Gc_lint.Catalog.rule_summary r))
@@ -37,18 +30,18 @@ let check_cmd =
       0
     end
     else begin
-      let r = Gc_lint.Lint.run ~typed:(not no_typed) ~root () in
+      let r = Gc_lint.Lint.run ~root () in
       Format.printf "%a@?" Gc_lint.Lint.pp_report r;
       if r.Gc_lint.Lint.findings = [] then 0 else 1
     end
   in
   let doc =
     "Lint lib/**, bin/ and bench/ for determinism, event discipline, \
-     layering, wire-codec safety and loop reachability."
+     layering, loop reachability and the metric catalog."
   in
   Cmd.v
     (Cmd.info "check" ~doc)
-    Term.(const run $ root_arg $ rules_flag $ no_typed_flag)
+    Term.(const run $ root_arg $ rules_flag)
 
 let dot_arg =
   let doc = "Write the graphviz dot output to $(docv) instead of stdout." in
@@ -65,11 +58,11 @@ let emit_dot ~dot render =
 
 let graph_cmd =
   let run root dot =
-    let r = Gc_lint.Lint.run ~typed:false ~root () in
+    let libs = Gc_lint.Lint.dune_libs ~root in
     emit_dot ~dot (fun () ->
         let buf = Buffer.create 1024 in
         let ppf = Format.formatter_of_buffer buf in
-        Gc_lint.Arch.to_dot ppf r.Gc_lint.Lint.libs;
+        Gc_lint.Arch.to_dot ppf libs;
         Format.pp_print_flush ppf ();
         Buffer.contents buf);
     0

@@ -2,11 +2,12 @@
    actual dependency graph, and check it against the declared DAG in
    Catalog.arch.
 
-   L1 fires on the *declared* edges (a dune (libraries ...) entry the spec
-   does not allow, or a library the spec does not know).  L2 fires on the
-   *used* edges: module roots the AST pass saw that are either not declared
-   in dune (a dependency smuggled in transitively) or not allowed by the
-   spec.  The AB-GB column reaching gc_traditional / gc_totem gets its own
+   L1 fires on the *declared* edges: a dune (libraries ...) entry the spec
+   does not allow, or a library the spec does not know.  The *used* edges
+   need no rule of their own: dune-project sets
+   (implicit_transitive_deps false), so the compiler rejects any module
+   whose library is not declared, and declared edges are checked here.
+   The AB-GB column reaching gc_traditional / gc_totem gets its own
    pointed message, because that edge is the one the paper's section 4.1
    architecture exists to forbid. *)
 
@@ -193,59 +194,6 @@ let check_declared (lib : dune_lib) : D.t list =
             in
             Some (D.v ~file:lib.dune_file ~line ~rule:"L1" ~suggestion message))
         lib.libraries
-
-(* ---------- L2: used module roots vs declared + spec ---------- *)
-
-let check_usage ~(lib : dune_lib) ~file ~roots : D.t list =
-  match Catalog.find_layer lib.name with
-  | None -> []
-  | Some layer ->
-      let self = Catalog.module_of_lib lib.name in
-      List.filter_map
-        (fun root ->
-          if root = self then None
-          else
-            match Catalog.lib_of_module root with
-            | None -> None (* not one of ours: external or local module *)
-            | Some dep ->
-                let declared =
-                  List.exists (fun (d, _) -> d = dep) lib.libraries
-                in
-                let allowed = List.mem dep layer.Catalog.deps in
-                if declared && allowed then None
-                else if
-                  List.mem lib.name Catalog.abgb_libs
-                  && List.mem dep Catalog.legacy_libs
-                then
-                  Some
-                    (D.v ~file ~line:1 ~rule:"L2"
-                       ~suggestion:
-                         "the AB-GB column must never reach \
-                          gc_traditional/gc_totem (paper section 4.1)"
-                       (Printf.sprintf
-                          "AB-GB module references competing stack %s (%s)"
-                          root dep))
-                else if not declared then
-                  Some
-                    (D.v ~file ~line:1 ~rule:"L2"
-                       ~suggestion:
-                         (Printf.sprintf
-                            "add %s to (libraries ...) in %s — implicit \
-                             transitive deps hide real coupling"
-                            dep lib.dune_file)
-                       (Printf.sprintf "module %s used but %s is not declared"
-                          root dep))
-                else
-                  Some
-                    (D.v ~file ~line:1 ~rule:"L2"
-                       ~suggestion:
-                         "either drop the reference or update \
-                          Gc_lint.Catalog.arch and DESIGN.md section 11 \
-                          together"
-                       (Printf.sprintf
-                          "module %s (%s) is outside %s's allowed layers" root
-                          dep lib.name)))
-        roots
 
 (* ---------- dot dump ---------- *)
 

@@ -4,7 +4,7 @@
    - which lib/ subdirectories hold *protocol* code (determinism rules
      D2-D4 and event discipline E1 apply there; D1 applies everywhere),
    - the registered trace components and their msg-id prefixes (rule E1),
-   - the declared architecture DAG the dune files must match (rules L1-L2).
+   - the declared architecture DAG the dune files must match (rule L1).
 
    The DAG encodes the paper's section 4.1 layering: ordering is solved
    once, in the AB-GB column rchannel -> rbcast -> consensus -> abcast ->
@@ -14,10 +14,7 @@
    gc_net; gc_obs is pure observability and depends on nothing. *)
 
 let rule_ids =
-  [
-    "D1"; "D2"; "D3"; "D4"; "E1"; "E2"; "L1"; "L2"; "W1"; "W2"; "W3"; "B1";
-    "B2"; "P0"; "T0";
-  ]
+  [ "D1"; "D2"; "D3"; "D4"; "E1"; "E2"; "L1"; "W1"; "B1"; "B2"; "P0"; "T0" ]
 
 let rule_summary = function
   | "D1" -> "ambient nondeterminism (Random/Unix/Sys.time) outside lib/sim/rng.ml"
@@ -27,10 +24,7 @@ let rule_summary = function
   | "E1" -> "Process.event outside the registered component/prefix catalog"
   | "E2" -> "metric name or kind outside the Catalog.metrics register"
   | "L1" -> "dune dependency outside the declared architecture DAG"
-  | "L2" -> "module reference outside the declared architecture DAG"
   | "W1" -> "malformed gcs-lint waiver annotation"
-  | "W2" -> "wire-codec tag conflict (duplicate string tag or u8 discriminator)"
-  | "W3" -> "Payload constructor without a registered printer or codec arm"
   | "B1" -> "blocking call reachable from an event-loop callback"
   | "B2" -> "raise can escape a protocol message handler"
   | "P0" -> "source file does not parse"
@@ -181,7 +175,8 @@ let arch =
     layer ~ext:[ "fmt"; "unix" ] "gc_server" "server" 14
       [
         "gc_sim"; "gc_net"; "gc_kernel"; "gc_obs"; "gc_rchannel";
-        "gc_membership"; "gcs"; "gc_replication"; "gc_runtime_unix";
+        "gc_gbcast"; "gc_membership"; "gcs"; "gc_replication";
+        "gc_runtime_unix";
       ];
     layer ~ext:[ "fmt"; "compiler-libs.common" ] "gc_lint" "lint" 15 [];
   ]
@@ -189,14 +184,6 @@ let arch =
 let find_layer lib = List.find_opt (fun l -> l.lib = lib) arch
 let layer_of_dir dir = List.find_opt (fun l -> l.dir = dir) arch
 let internal_lib lib = find_layer lib <> None
-
-(* Wrapped library name -> top-level module name: gc_sim -> Gc_sim. *)
-let module_of_lib lib = String.capitalize_ascii lib
-
-let lib_of_module m =
-  List.find_map
-    (fun l -> if module_of_lib l.lib = m then Some l.lib else None)
-    arch
 
 (* The AB-GB column plus its facade, which must never reach the competing
    stacks (paper section 4.1: ordering is solved once, below membership). *)
@@ -208,7 +195,7 @@ let abgb_libs =
 
 let legacy_libs = [ "gc_traditional"; "gc_totem" ]
 
-(* ---------- typed-pass vocabulary (rules W2/W3, B1/B2, E2) ---------- *)
+(* ---------- typed-pass vocabulary (rules B1/B2, E2) ---------- *)
 
 (* Callback registration points.  A function (or lambda) handed to one of
    these runs inside the event loop; [Handler] additionally marks it as a
@@ -275,13 +262,6 @@ let b2_site_scope source =
   | Some d -> is_protocol_dir d || d = "server" || List.mem d realtime_dirs
   (* the planted typed fixtures exercise the rule from test/ *)
   | None -> has_prefix ~prefix:"test/lint_fixtures/typed/" source
-
-(* Wire-codec registry names (rules W2/W3). *)
-let payload_codec_registrar = "Gc_net.Payload.register_codec"
-let payload_printer_registrar = "Gc_net.Payload.register_printer"
-let payload_type = "Gc_net.Payload.t"
-let wire_u8_write = "Gc_net.Wire.u8"
-let wire_u8_read = "Gc_net.Wire.read_u8"
 
 (* ---------- metric catalog (rule E2) ---------- *)
 

@@ -4,7 +4,7 @@ type t = {
   file : string;
   line : int;
   col : int;
-  rule : string;  (* "D1".."D4", "E1", "L1", "L2", "W1", "P0" *)
+  rule : string;  (* an id in Catalog.rule_ids: "D1".."D4", "E1", "B1", ... *)
   message : string;
   suggestion : string;
 }

@@ -1,7 +1,7 @@
 (* Driver: walk lib/**, bin/ and bench/, lint every .ml against the AST
    rules, every lib dune file against the architecture spec, run the
-   typedtree rules (W2/W3, B1/B2, E2) over the .cmt files of the last
-   build, apply waivers globally, and report.
+   typedtree rules (B1/B2, E2) over the .cmt files of the last build,
+   apply waivers globally, and report.
 
    Waivers are collected from every swept source file and applied to the
    whole finding set at the end — a typed finding (whose diagnostics
@@ -30,138 +30,100 @@ let list_dir path =
     List.sort String.compare (Array.to_list (Sys.readdir path))
   else []
 
+let partition_waived waivers findings =
+  List.partition_map
+    (fun d ->
+      match List.find_opt (fun w -> Waiver.covers w d) waivers with
+      | Some w -> Right (d, w)
+      | None -> Left d)
+    findings
+
 (* Lint one source string under a (possibly virtual) path: returns
    (unwaived, waived, waivers).  This is the unit the fixture tests use. *)
 let lint_file_source ~path source =
-  let ast_findings, _roots = Rules.lint_source ~path source in
   let waivers, w1s = Waiver.scan ~file:path source in
   let unwaived, waived =
-    List.partition_map
-      (fun d ->
-        match List.find_opt (fun w -> Waiver.covers w d) waivers with
-        | Some w -> Right (d, w)
-        | None -> Left d)
-      (ast_findings @ w1s)
+    partition_waived waivers (Rules.lint_source ~path source @ w1s)
   in
   (List.sort D.order unwaived, waived, waivers)
 
 (* Typed rules over an explicit unit list: the fixture tests load planted
    .cmt files and run exactly this. *)
 let lint_typed_units units =
-  let graph = Callgraph.build units in
-  Wire_rules.check units @ Block_rules.check graph @ Metric_rules.check units
+  Block_rules.check (Callgraph.build units) @ Metric_rules.check units
 
 (* ---------- repo sweep ---------- *)
 
-type sweep = {
-  mutable s_findings : D.t list;
-  mutable s_waivers : Waiver.t list;
-  mutable s_libs : Arch.dune_lib list;
-  mutable s_files : int;
-}
+let lib_dirs ~root =
+  List.filter
+    (fun dir -> Sys.is_directory (Filename.concat root ("lib/" ^ dir)))
+    (list_dir (Filename.concat root "lib"))
 
-let sweep_source st ~path ~dune_libs source =
-  st.s_files <- st.s_files + 1;
-  let ast_findings, roots = Rules.lint_source ~path source in
-  let ws, w1s = Waiver.scan ~file:path source in
-  st.s_waivers <- st.s_waivers @ ws;
-  let l2s =
-    List.concat_map
-      (fun l -> Arch.check_usage ~lib:l ~file:path ~roots)
-      dune_libs
+(* Every library stanza of every lib/<dir>/dune: the actual architecture
+   graph that L1 and [gcs_lint graph] read. *)
+let dune_libs ~root =
+  List.concat_map
+    (fun dir ->
+      let dune_file = Printf.sprintf "lib/%s/dune" dir in
+      let path = Filename.concat root dune_file in
+      if Sys.file_exists path then Arch.parse_dune ~dune_file (read_file path)
+      else [])
+    (lib_dirs ~root)
+
+(* Every .ml directly under lib/<dir>, bin/ and bench/, as (repo-relative
+   path, contents).  The executables get the same source rules; the
+   protocol-only ones (D2-D4/E1) do not apply outside lib/<protocol dir>. *)
+let sources ~root =
+  List.concat_map
+    (fun dir ->
+      List.filter_map
+        (fun entry ->
+          if Filename.check_suffix entry ".ml" then
+            let path = dir ^ "/" ^ entry in
+            Some (path, read_file (Filename.concat root path))
+          else None)
+        (list_dir (Filename.concat root dir)))
+    (List.map (fun d -> "lib/" ^ d) (lib_dirs ~root) @ [ "bin"; "bench" ])
+
+(* Full repo run, rooted at [root] (the directory containing lib/).  The
+   typed rules need a prior [dune build @all]; without .cmt files they
+   report T0 rather than pass silently. *)
+let run ~root () =
+  let sources = sources ~root in
+  let libs = dune_libs ~root in
+  let scans =
+    List.map (fun (path, src) -> Waiver.scan ~file:path src) sources
   in
-  st.s_findings <- st.s_findings @ ast_findings @ w1s @ l2s
-
-(* lib/<dir>: sources plus the dune architecture checks. *)
-let sweep_lib_dir st ~root dir =
-  let dir_path = Filename.concat (Filename.concat root "lib") dir in
-  let entries = list_dir dir_path in
-  let dune_path = Filename.concat dir_path "dune" in
-  let dune_libs =
-    if Sys.file_exists dune_path then
-      Arch.parse_dune
-        ~dune_file:(Printf.sprintf "lib/%s/dune" dir)
-        (read_file dune_path)
+  let waivers = List.concat_map fst scans in
+  let units = Typed_loader.load ~root in
+  let typed =
+    if units = [] then
+      [
+        D.v ~file:"." ~line:1 ~rule:"T0"
+          ~suggestion:"run `dune build @all` before linting"
+          "typed pass found no .cmt files; B1/B2/E2 did not run";
+      ]
+    else lint_typed_units units
+  in
+  let design_path = Filename.concat root "DESIGN.md" in
+  let design =
+    if Sys.file_exists design_path then
+      Metric_rules.check_design ~design_path:"DESIGN.md" (read_file design_path)
     else []
   in
-  st.s_libs <- st.s_libs @ dune_libs;
-  List.iter
-    (fun l -> st.s_findings <- st.s_findings @ Arch.check_declared l)
-    dune_libs;
-  List.iter
-    (fun entry ->
-      if Filename.check_suffix entry ".ml" then
-        sweep_source st
-          ~path:(Printf.sprintf "lib/%s/%s" dir entry)
-          ~dune_libs
-          (read_file (Filename.concat dir_path entry)))
-    entries
-
-(* bin/ and bench/: executables, no architecture DAG membership — source
-   rules only (D1 and the waiver scan; the protocol-only rules D2-D4/E1
-   do not apply outside lib/<protocol dir>). *)
-let sweep_exe_dir st ~root dir =
-  let dir_path = Filename.concat root dir in
-  List.iter
-    (fun entry ->
-      if Filename.check_suffix entry ".ml" then
-        sweep_source st
-          ~path:(Printf.sprintf "%s/%s" dir entry)
-          ~dune_libs:[]
-          (read_file (Filename.concat dir_path entry)))
-    (list_dir dir_path)
-
-(* Full repo run, rooted at [root] (the directory containing lib/).
-   [typed] (default true) also runs the .cmt-backed rules; it needs a
-   prior [dune build @all]. *)
-let run ?(typed = true) ~root () =
-  let st = { s_findings = []; s_waivers = []; s_libs = []; s_files = 0 } in
-  List.iter
-    (fun dir ->
-      if Sys.is_directory (Filename.concat (Filename.concat root "lib") dir)
-      then sweep_lib_dir st ~root dir)
-    (list_dir (Filename.concat root "lib"));
-  List.iter (fun dir -> sweep_exe_dir st ~root dir) [ "bin"; "bench" ];
-  let typed_units =
-    if not typed then 0
-    else begin
-      let units = Typed_loader.load ~root in
-      (if units = [] then
-         st.s_findings <-
-           st.s_findings
-           @ [
-               D.v ~file:"." ~line:1 ~rule:"T0"
-                 ~suggestion:"run `dune build @all` before linting"
-                 "typed pass found no .cmt files; W2/W3/B1/B2/E2 did not run";
-             ]
-       else
-         st.s_findings <- st.s_findings @ lint_typed_units units);
-      let design_path = Filename.concat root "DESIGN.md" in
-      if Sys.file_exists design_path then
-        st.s_findings <-
-          st.s_findings
-          @ Metric_rules.check_design ~design_path:"DESIGN.md"
-              (read_file design_path);
-      List.length units
-    end
+  let findings =
+    List.concat_map Arch.check_declared libs
+    @ List.concat_map (fun (path, src) -> Rules.lint_source ~path src) sources
+    @ List.concat_map snd scans @ typed @ design
   in
-  let unwaived, waived =
-    List.partition_map
-      (fun d ->
-        match
-          List.find_opt (fun w -> Waiver.covers w d) st.s_waivers
-        with
-        | Some w -> Right (d, w)
-        | None -> Left d)
-      st.s_findings
-  in
+  let unwaived, waived = partition_waived waivers findings in
   {
     findings = List.sort D.order unwaived;
     waived = List.sort (fun (a, _) (b, _) -> D.order a b) waived;
-    waivers = st.s_waivers;
-    libs = st.s_libs;
-    files_seen = st.s_files;
-    typed_units;
+    waivers;
+    libs;
+    files_seen = List.length sources;
+    typed_units = List.length units;
   }
 
 let pp_report ppf r =

@@ -14,10 +14,7 @@
    E1  every Process.event call uses a component registered in
        Catalog.components, and its ~msg (when present) is a literal or
        Printf.sprintf whose format starts with a registered prefix for
-       that component.
-
-   The pass also records which Gc_* / Gcs top-level modules a file
-   references, feeding the L2 module-level dependency check in Arch. *)
+       that component. *)
 
 module D = Diagnostic
 
@@ -50,7 +47,6 @@ type acc = {
   mutable findings : D.t list;
   (* loc offsets of Hashtbl.fold applications sanctioned by a sort *)
   sanctioned : (int, unit) Hashtbl.t;
-  used_roots : (string, unit) Hashtbl.t;
 }
 
 let line_col (loc : Location.t) =
@@ -60,13 +56,6 @@ let add acc (loc : Location.t) ~rule ~suggestion message =
   let line, col = line_col loc in
   acc.findings <-
     D.v ~file:acc.file ~line ~col ~rule ~suggestion message :: acc.findings
-
-let record_root acc lid =
-  match Longident.flatten lid with
-  | root :: _ when String.length root > 3 && String.sub root 0 3 = "Gc_" ->
-      Hashtbl.replace acc.used_roots root ()
-  | "Gcs" :: _ -> Hashtbl.replace acc.used_roots "Gcs" ()
-  | _ -> ()
 
 let head_ident (e : Parsetree.expression) =
   match e.pexp_desc with
@@ -119,7 +108,6 @@ let is_process_event h =
 (* ---------- per-node rule logic ---------- *)
 
 let check_ident acc (loc : Location.t) lid =
-  record_root acc lid;
   let s = strip_stdlib (lid_str lid) in
   let root = match Longident.flatten lid with r :: _ -> r | [] -> "" in
   if
@@ -280,9 +268,6 @@ let make_iterator acc =
   let expr it (e : Parsetree.expression) =
     (match e.pexp_desc with
     | Pexp_ident { txt; loc } -> check_ident acc loc txt
-    | Pexp_construct ({ txt; _ }, _) -> record_root acc txt
-    | Pexp_field (_, { txt; _ }) | Pexp_setfield (_, { txt; _ }, _) ->
-        record_root acc txt
     | Pexp_apply (f, args) -> check_apply acc e f args
     | _ -> ());
     default_iterator.expr it e
@@ -290,7 +275,6 @@ let make_iterator acc =
   let module_expr it (m : Parsetree.module_expr) =
     (match m.pmod_desc with
     | Pmod_ident { txt; loc } -> (
-        record_root acc txt;
         match Longident.flatten txt with
         | root :: _ when List.mem root banned_roots && not acc.rng_exempt ->
             add acc loc ~rule:"D1"
@@ -300,38 +284,8 @@ let make_iterator acc =
     | _ -> ());
     default_iterator.module_expr it m
   in
-  let typ it (t : Parsetree.core_type) =
-    (match t.ptyp_desc with
-    | Ptyp_constr ({ txt; _ }, _) -> record_root acc txt
-    | _ -> ());
-    default_iterator.typ it t
-  in
-  let pat it (p : Parsetree.pattern) =
-    (match p.ppat_desc with
-    | Ppat_construct ({ txt; _ }, _) -> record_root acc txt
-    | _ -> ());
-    default_iterator.pat it p
-  in
-  let type_extension it (te : Parsetree.type_extension) =
-    record_root acc te.ptyext_path.txt;
-    default_iterator.type_extension it te
-  in
-  let open_description it (od : Parsetree.open_description) =
-    record_root acc od.popen_expr.txt;
-    default_iterator.open_description it od
-  in
-  {
-    default_iterator with
-    expr;
-    module_expr;
-    typ;
-    pat;
-    type_extension;
-    open_description;
-  }
+  { default_iterator with expr; module_expr }
 
-(* Lint one parsed implementation.  Returns findings plus the set of Gc_*
-   module roots the file references. *)
 let lint_structure ~file ~protocol ~rng_exempt structure =
   let acc =
     {
@@ -340,16 +294,11 @@ let lint_structure ~file ~protocol ~rng_exempt structure =
       rng_exempt;
       findings = [];
       sanctioned = Hashtbl.create 16;
-      used_roots = Hashtbl.create 16;
     }
   in
   let it = make_iterator acc in
   it.Ast_iterator.structure it structure;
-  let roots =
-    List.sort String.compare
-      (Hashtbl.fold (fun k () l -> k :: l) acc.used_roots [])
-  in
-  (List.sort D.order acc.findings, roots)
+  List.sort D.order acc.findings
 
 let parse_impl ~file source =
   let lexbuf = Lexing.from_string source in
@@ -375,10 +324,9 @@ let lint_source ~path source =
         | _ -> (Location.in_file path, Printexc.to_string exn)
       in
       let line, col = line_col loc in
-      ( [
-          D.v ~file:path ~line ~col ~rule:"P0"
-            ~suggestion:"fix the syntax error; the lint pass needs a parsable \
-                         tree"
-            msg;
-        ],
-        [] )
+      [
+        D.v ~file:path ~line ~col ~rule:"P0"
+          ~suggestion:"fix the syntax error; the lint pass needs a parsable \
+                       tree"
+          msg;
+      ]

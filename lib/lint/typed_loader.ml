@@ -1,12 +1,12 @@
 (* The typedtree access layer: find and read the .cmt files dune wrote
-   for lib/, bin/ and bench/, and give the typed rules (callgraph, W2/W3,
-   B1/B2, E2) a uniform view of each compilation unit.
+   for lib/, bin/ and bench/, and give the typed rules (callgraph, B1/B2,
+   E2) a uniform view of each compilation unit.
 
    Where the parsetree rules see syntax, a .cmt holds the *typed* tree:
-   every identifier carries its resolved [Path.t], so `W.u8`,
-   `Wire.u8` and `Gc_net.Wire.u8` all name the same function no matter
-   how the file aliased its modules.  That resolution is what makes the
-   cross-module rules sound.
+   every identifier carries its resolved [Path.t], so `M.incr`,
+   `Metrics.incr` and `Gc_obs.Metrics.incr` all name the same function
+   no matter how the file aliased its modules.  That resolution is what
+   makes the cross-module rules sound.
 
    Layout facts this module encodes:
    - libraries:    <dir>/.<libname>.objs/byte/<Lib>__<Module>.cmt
@@ -208,8 +208,6 @@ let rec head_path (e : Typedtree.expression) =
   | Typedtree.Texp_construct (_, _, [ arg ]) -> head_path arg
   | _ -> None
 
-let head_canon r e = Option.map (canon_of_path r) (head_path e)
-
 (* All string literals syntactically inside [e], descending through
    if/match/try arms and sequencing — enough to see both branches of
    [if ordered then "a" else "b"]. *)
@@ -233,33 +231,3 @@ let string_literals (e : Typedtree.expression) =
   in
   go e;
   List.rev !acc
-
-let is_bare_ident (e : Typedtree.expression) =
-  match e.Typedtree.exp_desc with
-  | Typedtree.Texp_ident _ -> true
-  | _ -> false
-
-(* First integer-literal argument of a call, if any. *)
-let int_literal_arg args =
-  List.find_map
-    (fun (_, a) ->
-      match a with
-      | Some (e : Typedtree.expression) -> (
-          match e.Typedtree.exp_desc with
-          | Typedtree.Texp_constant (Asttypes.Const_int n) ->
-              Some (n, e.Typedtree.exp_loc)
-          | _ -> None)
-      | None -> None)
-    args
-
-let string_literal_arg args =
-  List.find_map
-    (fun (_, a) ->
-      match a with
-      | Some (e : Typedtree.expression) -> (
-          match e.Typedtree.exp_desc with
-          | Typedtree.Texp_constant (Asttypes.Const_string (s, _, _)) ->
-              Some (s, e.Typedtree.exp_loc)
-          | _ -> None)
-      | None -> None)
-    args

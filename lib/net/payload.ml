@@ -5,7 +5,7 @@ let register_printer f = printers := f :: !printers
 
 let to_string p =
   let rec go = function
-    | [] -> "<payload>"
+    | [] -> Obj.Extension_constructor.(name (of_val p))
     | f :: rest -> ( match f p with Some s -> s | None -> go rest)
   in
   go !printers

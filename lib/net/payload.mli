@@ -13,7 +13,10 @@ val register_printer : (t -> string option) -> unit
     debugging output. *)
 
 val to_string : t -> string
-(** Best-effort rendering through the registered printers. *)
+(** Rendering through the registered printers.  A constructor no printer
+    covers renders as its qualified name (e.g. [Gc_fuzz.Harness.Fuzz]),
+    so a missing printer shows in traces instead of hiding behind a
+    placeholder. *)
 
 (** {1 Binary codec registry}
 

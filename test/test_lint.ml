@@ -196,31 +196,7 @@ let test_arch_bad_dune () =
   Alcotest.(check bool) "foreign external rejected" true (has "lwt");
   Alcotest.(check bool) "unknown library rejected" true (has "gc_mystery")
 
-let test_arch_usage () =
-  let lib =
-    {
-      Arch.name = "gc_rbcast";
-      name_line = 2;
-      libraries =
-        [ ("gc_obs", 3); ("gc_sim", 3); ("gc_net", 3); ("gc_kernel", 3);
-          ("gc_rchannel", 3); ("fmt", 3) ];
-      dune_file = "lib/rbcast/dune";
-    }
-  in
-  let check roots = Arch.check_usage ~lib ~file:"lib/rbcast/x.ml" ~roots in
-  Alcotest.(check int) "declared+allowed is silent" 0
-    (List.length (check [ "Gc_rchannel"; "Gc_obs"; "Fmt"; "Queue" ]));
-  (match check [ "Gc_consensus" ] with
-  | [ d ] -> Alcotest.(check string) "L2" "L2" d.D.rule
-  | ds -> Alcotest.failf "expected 1 L2, got %d" (List.length ds));
-  match check [ "Gc_totem" ] with
-  | [ d ] ->
-      Alcotest.(check bool) "legacy message" true
-        (d.D.message = "AB-GB module references competing stack Gc_totem \
-                        (gc_totem)")
-  | ds -> Alcotest.failf "expected 1 legacy L2, got %d" (List.length ds)
-
-(* ---------- typed rules (W2/W3, B1/B2, E2) against planted fixtures ----------
+(* ---------- typed rules (B1/B2, E2) against planted fixtures ----------
 
    The lint_fixture_typed library under lint_fixtures/typed/ compiles
    known-bad shapes (it is linked but never run); each test loads just the
@@ -245,22 +221,6 @@ let typed_findings ~rule names =
   List.filter
     (fun d -> d.D.rule = rule)
     (Lint.lint_typed_units (typed_units names))
-
-let test_typed_w2 () =
-  (* duplicate tag (repo-wide pass, line 29), then the per-family pass:
-     duplicate discriminator at Fw_b's arm (17), dead decode case (25) *)
-  Alcotest.check pairs "planted W2 findings"
-    [ ("W2", 29); ("W2", 17); ("W2", 25) ]
-    (rule_lines (typed_findings ~rule:"W2" [ "Fixture_w2" ]));
-  Alcotest.check pairs "no W3 leaks from the W2 fixture" []
-    (rule_lines (typed_findings ~rule:"W3" [ "Fixture_w2" ]))
-
-let test_typed_w3 () =
-  Alcotest.check pairs "planted W3 findings"
-    [ ("W3", 5); ("W3", 5) ]
-    (rule_lines (typed_findings ~rule:"W3" [ "Fixture_w3" ]));
-  Alcotest.check pairs "no W2 leaks from the W3 fixture" []
-    (rule_lines (typed_findings ~rule:"W2" [ "Fixture_w3" ]))
 
 let test_typed_b1 () =
   match typed_findings ~rule:"B1" [ "Fixture_b1" ] with
@@ -331,9 +291,6 @@ let suite =
         Alcotest.test_case "unknown rule scans as W1" `Quick
           test_waiver_unknown_rule_scan;
         Alcotest.test_case "L1 bad dune stanza" `Quick test_arch_bad_dune;
-        Alcotest.test_case "L2 module usage" `Quick test_arch_usage;
-        Alcotest.test_case "W2 planted tag conflicts" `Quick test_typed_w2;
-        Alcotest.test_case "W3 planted coverage gaps" `Quick test_typed_w3;
         Alcotest.test_case "B1 planted blocking call" `Quick test_typed_b1;
         Alcotest.test_case "B1 through the deferred-work hook" `Quick
           test_typed_b1_defer;

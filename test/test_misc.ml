@@ -60,13 +60,16 @@ let test_trace_disabled_and_capacity () =
   check_int "capacity bound" 3 (List.length records);
   Alcotest.(check (float 0.001)) "oldest evicted" 3.0 (List.hd records).Trace.time
 
+module Unprinted = struct
+  type Gc_net.Payload.t += Orphan
+end
+
 let test_payload_printer () =
   Alcotest.(check string) "registered printer" "blip(7)" (Payload.to_string (Blip 7));
-  (* An unknown payload falls back to a placeholder, never raises. *)
-  let module M = struct
-    type Gc_net.Payload.t += Unknown
-  end in
-  Alcotest.(check string) "fallback" "<payload>" (Payload.to_string M.Unknown)
+  (* A payload no printer covers renders as its constructor's qualified
+     name, so a missing printer shows in a trace; it never raises. *)
+  Alcotest.(check string) "fallback" "Dune__exe__Test_misc.Unprinted.Orphan"
+    (Payload.to_string Unprinted.Orphan)
 
 let test_abcast_batches_bursts () =
   (* A burst sent while one consensus instance is running lands in few

@@ -131,21 +131,24 @@ let test_codec_errors () =
   | Error (Payload.Trailing 1) -> ()
   | _ -> Alcotest.fail "trailing bytes must be typed"
 
-(* ---------- hot-path codecs (gbcast / abcast / consensus) ----------
+(* ---------- hot-path codecs (gbcast / abcast / consensus / stack) ----------
 
-   The gbcast, abcast and consensus payload constructors are module-private,
-   so their binary codecs are exercised behaviourally: a batched three-node
-   Ab+Gb world runs a conflicting/commuting mix over a runtime whose [send]
-   is wrapped to capture every payload that crosses the wire.  Every
-   captured payload must be binary-encodable (the hot path never falls back
-   to the structural escape hatch), survive a round-trip with its printed
-   form and its bytes intact, reject every strict prefix with a typed
-   error, and never escape an exception on corrupted bytes. *)
+   The gbcast, abcast, consensus, membership and monitoring payload
+   constructors are module-private, so their binary codecs are exercised
+   behaviourally: a batched three-node Ab+Gb world runs a
+   conflicting/commuting mix, and a full four-node stack runs a join and a
+   suspicion flap, each over a runtime whose [send] is wrapped to capture
+   every payload that crosses the wire.  Every captured payload must be
+   binary-encodable (the hot path never falls back to the structural
+   escape hatch), survive a round-trip with its printed form and its bytes
+   intact, reject every strict prefix with a typed error, and never escape
+   an exception on corrupted bytes. *)
 
 module Ab = Gc_abcast.Atomic_broadcast
 module Gb = Gc_gbcast.Generic_broadcast
 module Conflict = Gc_gbcast.Conflict
 module Runtime = Gc_kernel.Runtime
+module Stack = Gcs.Gcs_stack
 
 type Gc_net.Payload.t += Wop of { klass : int; k : int }
 
@@ -220,12 +223,51 @@ let capture_mode_payloads ack_mode =
   Engine.run ~until:5_000.0 engine;
   List.rev !captured
 
+(* The full stack sends what the ordering layers alone never do: a join
+   (mb.join_req, then mb.state carrying the gcs snapshot), the view change
+   it orders, application messages in gcs envelopes, and the monitoring
+   gossip of a suspicion flap (node 0 misses node 1's heartbeats past the
+   exclusion timeout, suspects it, then retracts; one suspector is below
+   the default threshold of 2, so nobody is excluded). *)
+let capture_stack_payloads () =
+  let n = 4 in
+  let engine = Engine.create ~seed:4243L () in
+  let trace = Trace.create ~enabled:false () in
+  let net = Netsim.create engine ~trace ~delay:Gc_net.Delay.lan ~n () in
+  let captured = ref [] in
+  let config = Stack.Config.make ~exclusion_timeout:500.0 () in
+  let stacks =
+    Array.init n (fun id ->
+        let base = Runtime.of_netsim net ~trace in
+        let runtime =
+          {
+            base with
+            Runtime.send =
+              (fun ~src ~dst p ->
+                captured := p :: !captured;
+                base.Runtime.send ~src ~dst p);
+          }
+        in
+        (* node 3 joins later: it starts from the founders' view *)
+        Stack.create runtime ~id ~initial:[ 0; 1; 2 ] ~config ())
+  in
+  let at time f = ignore (Engine.schedule_at engine ~time f) in
+  at 100.0 (fun () ->
+      Stack.rbcast stacks.(0) (Wop { klass = 0; k = 1 });
+      Stack.abcast stacks.(1) (Wop { klass = 1; k = 2 }));
+  at 300.0 (fun () -> Stack.join stacks.(3) ~via:0);
+  at 2_000.0 (fun () ->
+      Fd.suppress (Stack.failure_detector stacks.(0)) ~peer:1 ~until:2_800.0);
+  Engine.run ~until:6_000.0 engine;
+  List.rev !captured
+
 (* Both quorum modes: All_members cuts straight from the local state, so
    [Gb_state] only crosses the wire in Two_thirds mode. *)
 let capture_hot_path_payloads () =
   let captured =
     capture_mode_payloads Gb.All_members
     @ capture_mode_payloads Gb.Two_thirds
+    @ capture_stack_payloads ()
   in
   (* Dedupe by printed form: the codec checks are per-shape, not per-copy. *)
   let seen = Hashtbl.create 64 in
@@ -262,6 +304,7 @@ let test_hot_path_codec_coverage () =
     [
       "gb.fast#"; "gb.fastbatch["; "gb.acks["; "gb.state@"; "gb.cut@";
       "cs.est["; "cs.prop["; "cs.ack["; "cs.decide["; "ab.submit[";
+      "mb.join_req("; "mb.state("; "mon.suspect("; "mon.retract(";
     ]
 
 let test_hot_path_codec_roundtrip () =
