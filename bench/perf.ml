@@ -24,7 +24,8 @@
                         replay iteration a restarting server performs
                         before accepting traffic.
 
-   Output is BENCH_perf.json (schema: DESIGN.md par.12).  [--smoke] shrinks
+   Output is BENCH_perf.json, or the file [-o] names (schema: DESIGN.md
+   par.12); with [--check] and no [-o] nothing is written.  [--smoke] shrinks
    the workload for CI and measures each cell 5 times, keeping the run with
    the median msgs/sec (a smoke cell lasts milliseconds, so one run is at
    the mercy of host noise); [--check FILE] compares against a committed
@@ -354,7 +355,7 @@ let check_gb_ab_ratio cells =
 let () =
   let smoke = ref false in
   let seed = ref 42L in
-  let out = ref "BENCH_perf.json" in
+  let out = ref None in
   let check = ref None in
   let rec parse = function
     | [] -> ()
@@ -365,7 +366,7 @@ let () =
         seed := Int64.of_string v;
         parse rest
     | "-o" :: v :: rest ->
-        out := v;
+        out := Some v;
         parse rest
     | "--check" :: v :: rest ->
         check := Some v;
@@ -410,12 +411,18 @@ let () =
     (if !smoke then [ 1_000; 10_000 ] else [ 10_000; 100_000; 1_000_000 ]);
   let cells = List.rev !cells in
   let mode = if !smoke then "smoke" else "full" in
-  let oc = open_out !out in
-  output_string oc (Json.to_string_pretty (doc_json ~mode ~seed cells));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nperf results written to %s (%d cells, %s mode)\n" !out
-    (List.length cells) mode;
+  (* A check compares against a baseline: it writes results only where
+     [-o] asks, so it never overwrites the committed BENCH_perf.json. *)
+  (match (!out, !check) with
+  | None, Some _ -> ()
+  | out, _ ->
+      let out = Option.value out ~default:"BENCH_perf.json" in
+      let oc = open_out out in
+      output_string oc (Json.to_string_pretty (doc_json ~mode ~seed cells));
+      output_char oc '\n';
+      close_out oc;
+      Printf.printf "\nperf results written to %s (%d cells, %s mode)\n" out
+        (List.length cells) mode);
   let incomplete = List.exists (fun c -> not c.completed) cells in
   if incomplete then
     Printf.eprintf "ERROR: some cells did not finish within the horizon\n";

@@ -135,9 +135,9 @@ let render results prev =
       (fun (_, r) -> match r with Ok s -> Some s.order_digest | _ -> None)
       results
   in
-  Printf.printf "%-14s %6s %4s %4s %4s %9s %8s %-22s %8s %8s %-11s\n" "SERVER"
-    "UP(s)" "VID" "MEM" "CLI" "APPLIED" "OPS/S" "LATENCY p50/90/99/max"
-    "LOOPp99" "OVERDUE" "ORDER";
+  Printf.printf "%-14s %6s %4s %4s %4s %9s %8s %-22s %8s %8s %5s %-11s\n"
+    "SERVER" "UP(s)" "VID" "MEM" "CLI" "APPLIED" "OPS/S"
+    "LATENCY p50/90/99/max" "LOOPp99" "OVERDUE" "CONS" "ORDER";
   List.iter
     (fun (spec, r) ->
       match r with
@@ -163,11 +163,13 @@ let render results prev =
               lat_cell window "server.latency_ms"
             else lat_cell s.metrics "server.latency_ms"
           in
-          Printf.printf "%-14s %6.1f %4d %4d %4d %9d %8.1f %-22s %8s %8d %-11s\n"
+          Printf.printf
+            "%-14s %6.1f %4d %4d %4d %9d %8.1f %-22s %8s %8d %5.0f %-11s\n"
             spec (s.uptime_ms /. 1000.0) s.vid s.members s.clients applied rate
             lat
             (pct (Metrics.quantile s.metrics "evloop.tick_ms" 0.99))
             (Metrics.counter s.metrics "evloop.timer_overdue")
+            (Metrics.gauge s.metrics "consensus.live_instances")
             (digest_tag order_digests s.order_digest))
     results
 

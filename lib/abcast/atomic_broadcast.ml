@@ -186,6 +186,8 @@ let apply_decisions t =
         loop ()
   in
   loop ();
+  (* Consensus keeps nothing for instances applied here. *)
+  Consensus.forget_below (consensus_of t) ~inst:t.next_to_apply;
   note_pending t;
   try_start t
 
@@ -287,11 +289,16 @@ let members t = t.member_list
 let bootstrap t ~next_instance ~members ~delivered =
   t.member_list <- members;
   t.next_to_apply <- next_instance;
-  (* Proposal markers for instances below the transferred starting point can
-     never be consulted again. *)
-  List.iter
-    (fun inst -> if inst < next_instance then Hashtbl.remove t.proposed inst)
-    (Sorted.keys t.proposed);
+  (* Proposal markers and decisions for instances below the transferred
+     starting point can never be consulted again; [apply_decisions] below
+     has consensus forget them too. *)
+  let drop_below tbl =
+    Hashtbl.filter_map_inplace
+      (fun inst v -> if inst < next_instance then None else Some v)
+      tbl
+  in
+  drop_below t.proposed;
+  drop_below t.decided_batches;
   Delivered.union_into ~into:t.delivered delivered;
   (* Stragglers rdelivered before the transfer completed are already
      delivered at the snapshot source: purge them, or every future proposal
@@ -315,4 +322,13 @@ let delivered_count t = t.n_delivered
 let next_instance t = t.next_to_apply
 let delivered t = t.delivered
 let pending_count t = t.pending_n
-let rounds_used t ~inst = Consensus.rounds_used (consensus_of t) ~inst
+
+let lowest_held t =
+  let keys tbl = Sorted.keys tbl in
+  match
+    List.sort Int.compare
+      (keys t.proposed @ keys t.decided_batches
+      @ Option.to_list (Consensus.lowest_held (consensus_of t)))
+  with
+  | [] -> None
+  | inst :: _ -> Some inst

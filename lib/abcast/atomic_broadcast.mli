@@ -101,5 +101,8 @@ val next_instance : t -> int
 
 (** Messages rdelivered but not yet adelivered (the proposal backlog). *)
 val pending_count : t -> int
-val rounds_used : t -> inst:int -> int
-(** Rounds the local consensus reached in instance [inst]. *)
+
+val lowest_held : t -> int option
+(** The lowest consensus instance this process still holds any state for
+    (proposal marker, decided batch or consensus table): never below
+    {!next_instance}, since consensus forgets every applied instance. *)

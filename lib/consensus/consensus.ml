@@ -105,12 +105,16 @@ type t = {
   on_decide : inst:int -> Gc_net.Payload.t -> unit;
   on_solicit : inst:int -> unit;
   monitor : Fd.monitor;
-  states : (int, inst_state) Hashtbl.t;
-  decisions : (int, Gc_net.Payload.t) Hashtbl.t;
+  (* Only instances at or above [floor] are held, and only until the layer
+     above has applied them.  A decided instance keeps no round tables:
+     [decide] drops its state at once and records the bare fact in
+     [decided_set] until the floor passes it. *)
+  mutable floor : int;
+  states : (int, inst_state) Hashtbl.t; (* started, not yet decided *)
+  decided_set : (int, unit) Hashtbl.t;
   solicited : (int, unit) Hashtbl.t;
   (* Messages for instances not started locally, replayed on [propose]. *)
   backlog : (int, (int * Gc_net.Payload.t) list ref) Hashtbl.t;
-  mutable n_decided : int;
 }
 
 let coord st r = st.members.((r - 1) mod Array.length st.members)
@@ -143,31 +147,41 @@ let select_estimate t ests =
   | Some (_, est, _) -> est
   | None -> invalid_arg "select_estimate: empty"
 
+(* Decided here or forgotten: traffic, proposals and decisions for it are
+   dropped. *)
+let over t inst = inst < t.floor || Hashtbl.mem t.decided_set inst
+
+let note_live t =
+  Process.set_gauge t.proc "consensus.live_instances"
+    (float_of_int (Hashtbl.length t.states + Hashtbl.length t.decided_set))
+
 let decide t inst v =
-  match Hashtbl.find_opt t.decisions inst with
-  | Some _ -> ()
-  | None ->
-      Hashtbl.replace t.decisions inst v;
-      (match Hashtbl.find_opt t.states inst with
-      | Some st -> st.decided <- true
-      | None -> ());
-      t.n_decided <- t.n_decided + 1;
-      Process.incr t.proc "consensus.instances_decided";
-      (match Hashtbl.find_opt t.states inst with
-      | Some st when st.max_round > 0 ->
+  if not (over t inst) then begin
+    Hashtbl.replace t.decided_set inst ();
+    Hashtbl.remove t.solicited inst;
+    Hashtbl.remove t.backlog inst;
+    Process.incr t.proc "consensus.instances_decided";
+    (match Hashtbl.find_opt t.states inst with
+    | Some st ->
+        (* Pending round timers still hold [st]: [decided] stops them. *)
+        st.decided <- true;
+        Hashtbl.remove t.states inst;
+        if st.max_round > 0 then
           Process.observe t.proc "consensus.rounds"
             (float_of_int st.max_round)
-      | _ -> ());
-      if Process.traced t.proc then
-        Process.event t.proc ~component:"consensus" ~kind:Gc_obs.Event.Decide
-          ~msg:(Printf.sprintf "cs:%d" inst)
-          ~attrs:
-            [
-              ("inst", string_of_int inst);
-              ("val", Gc_net.Payload.to_string v);
-            ]
-          ();
-      t.on_decide ~inst v
+    | None -> ());
+    note_live t;
+    if Process.traced t.proc then
+      Process.event t.proc ~component:"consensus" ~kind:Gc_obs.Event.Decide
+        ~msg:(Printf.sprintf "cs:%d" inst)
+        ~attrs:
+          [
+            ("inst", string_of_int inst);
+            ("val", Gc_net.Payload.to_string v);
+          ]
+        ();
+    t.on_decide ~inst v
+  end
 
 let broadcast_decision t st inst v =
   if not st.decide_sent then begin
@@ -273,7 +287,7 @@ let handle_message t inst src payload =
   | None ->
       (* Not started here: remember the message, ask the layer above to
          propose (once). *)
-      if not (Hashtbl.mem t.decisions inst) then begin
+      if not (over t inst) then begin
         let q =
           match Hashtbl.find_opt t.backlog inst with
           | Some q -> q
@@ -341,13 +355,14 @@ let create proc ~rc ~rb ~fd ?(suspect_timeout = 200.0) ?(adaptive = false)
       on_solicit;
       monitor;
       states;
-      decisions = Hashtbl.create 32;
+      floor = 0;
+      decided_set = Hashtbl.create 8;
       solicited = Hashtbl.create 8;
       backlog = Hashtbl.create 8;
-      n_decided = 0;
     }
   in
   t_ref := Some t;
+  note_live t;
   Rc.on_deliver rc (fun ~src payload ->
       match payload with
       | Cs_start { inst }
@@ -363,69 +378,88 @@ let create proc ~rc ~rb ~fd ?(suspect_timeout = 200.0) ?(adaptive = false)
   t
 
 let propose t ~inst ~members v =
-  match Hashtbl.find_opt t.decisions inst with
-  | Some dv ->
-      (* Late proposer: the instance is over; replay the decision locally.
-         [decide] already fired when the decision arrived, so nothing to
-         do — the decision callback is per-process, not per-propose. *)
-      ignore dv
-  | None ->
-      if not (Hashtbl.mem t.states inst) then begin
-        let members_arr = Array.of_list members in
-        let n = Array.length members_arr in
-        if n = 0 then invalid_arg "Consensus.propose: empty membership";
-        let st =
-          {
-            members = members_arr;
-            majority = (n / 2) + 1;
-            est = v;
-            ts = 0;
-            round = 0;
-            phase3_done = false;
-            decided = false;
-            max_round = 0;
-            estimates = Hashtbl.create 8;
-            proposals = Hashtbl.create 8;
-            acks = Hashtbl.create 8;
-            proposed_rounds = Hashtbl.create 8;
-            decide_sent = false;
-          }
-        in
-        Hashtbl.replace t.states inst st;
-        Process.incr t.proc "consensus.instances_started";
-        if Process.traced t.proc then
-          Process.event t.proc ~component:"consensus" ~kind:Gc_obs.Event.Propose
-            ~msg:(Printf.sprintf "cs:%d" inst)
-            ~attrs:
-              [
-                ("inst", string_of_int inst);
-                ("val", Gc_net.Payload.to_string v);
-              ]
-            ();
-        (* Solicitation ping: lets members that have nothing to propose yet
-           join the instance reactively (their layer above is asked to
-           propose on first contact). *)
-        Array.iter
-          (fun q ->
-            if q <> Process.id t.proc then
-              Rc.send t.rc ~dst:q (Cs_start { inst }))
-          members_arr;
-        enter_round t inst st 1;
-        (* Replay traffic that arrived before we started. *)
-        match Hashtbl.find_opt t.backlog inst with
-        | None -> ()
-        | Some q ->
-            let msgs = List.rev !q in
-            Hashtbl.remove t.backlog inst;
-            List.iter (fun (src, payload) -> handle_message t inst src payload) msgs
-      end
+  (* A late proposer to an instance that is over has nothing to do: [decide]
+     already fired when the decision arrived, once per process. *)
+  if not (over t inst || Hashtbl.mem t.states inst) then begin
+    let members_arr = Array.of_list members in
+    let n = Array.length members_arr in
+    if n = 0 then invalid_arg "Consensus.propose: empty membership";
+    let st =
+      {
+        members = members_arr;
+        majority = (n / 2) + 1;
+        est = v;
+        ts = 0;
+        round = 0;
+        phase3_done = false;
+        decided = false;
+        max_round = 0;
+        estimates = Hashtbl.create 8;
+        proposals = Hashtbl.create 8;
+        acks = Hashtbl.create 8;
+        proposed_rounds = Hashtbl.create 8;
+        decide_sent = false;
+      }
+    in
+    Hashtbl.replace t.states inst st;
+    note_live t;
+    Process.incr t.proc "consensus.instances_started";
+    if Process.traced t.proc then
+      Process.event t.proc ~component:"consensus" ~kind:Gc_obs.Event.Propose
+        ~msg:(Printf.sprintf "cs:%d" inst)
+        ~attrs:
+          [
+            ("inst", string_of_int inst);
+            ("val", Gc_net.Payload.to_string v);
+          ]
+        ();
+    (* Solicitation ping: lets members that have nothing to propose yet
+       join the instance reactively (their layer above is asked to
+       propose on first contact). *)
+    Array.iter
+      (fun q ->
+        if q <> Process.id t.proc then Rc.send t.rc ~dst:q (Cs_start { inst }))
+      members_arr;
+    enter_round t inst st 1;
+    (* Replay traffic that arrived before we started. *)
+    match Hashtbl.find_opt t.backlog inst with
+    | None -> ()
+    | Some q ->
+        let msgs = List.rev !q in
+        Hashtbl.remove t.backlog inst;
+        List.iter (fun (src, payload) -> handle_message t inst src payload) msgs
+  end
 
-let decided t ~inst = Hashtbl.find_opt t.decisions inst
-let started t ~inst = Hashtbl.mem t.states inst
+(* Drop [tbl]'s entries below [floor], passing each to [stop].  The tables
+   hold only unapplied instances, so a pass is short. *)
+let drop_below tbl ~floor ~stop =
+  if Hashtbl.length tbl > 0 then
+    Hashtbl.filter_map_inplace
+      (fun inst v ->
+        if inst < floor then begin
+          stop v;
+          None
+        end
+        else Some v)
+      tbl
 
-let rounds_used t ~inst =
-  match Hashtbl.find_opt t.states inst with
-  | Some st -> st.max_round
-  | None -> 0
+let forget_below t ~inst =
+  if inst > t.floor then begin
+    t.floor <- inst;
+    (* An undecided instance below the floor (started before a state
+       transfer overtook it) has round timers that must stop too. *)
+    drop_below t.states ~floor:inst ~stop:(fun st -> st.decided <- true);
+    drop_below t.decided_set ~floor:inst ~stop:ignore;
+    drop_below t.solicited ~floor:inst ~stop:ignore;
+    drop_below t.backlog ~floor:inst ~stop:ignore;
+    note_live t
+  end
 
-let instances_decided t = t.n_decided
+let lowest_held t =
+  let keys tbl = Sorted.keys tbl in
+  match
+    List.sort Int.compare
+      (keys t.states @ keys t.decided_set @ keys t.solicited @ keys t.backlog)
+  with
+  | [] -> None
+  | inst :: _ -> Some inst

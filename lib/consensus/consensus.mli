@@ -59,15 +59,17 @@ val propose : t -> inst:int -> members:int list -> Gc_net.Payload.t -> unit
     value.  All participants of an instance must supply the same [members]
     list — in the architecture this is guaranteed because the member list of
     instance [k] is a deterministic function of the decisions
-    [0 .. k-1].  Proposing to a decided instance just replays the decision;
-    proposing twice is a no-op. *)
+    [0 .. k-1].  Proposing twice, or to an instance that is decided or
+    forgotten ({!forget_below}), is a no-op. *)
 
-val decided : t -> inst:int -> Gc_net.Payload.t option
+val forget_below : t -> inst:int -> unit
+(** Raise the floor to [inst] (a lower value is a no-op): every instance
+    below it is forgotten — its round state, decided mark, solicitation
+    mark and backlog go, and later traffic, proposals and decisions for it
+    are dropped.  The layer above calls this once it has applied every
+    decision below [inst]; until then a decided instance is held only as
+    the fact that it decided. *)
 
-val started : t -> inst:int -> bool
-
-val rounds_used : t -> inst:int -> int
-(** Highest round this process reached in [inst] (1 in the failure-free fast
-    path); 0 if never started locally. *)
-
-val instances_decided : t -> int
+val lowest_held : t -> int option
+(** The lowest instance any of the tables still holds ([None] when they
+    are all empty); never below the floor.  For tests. *)

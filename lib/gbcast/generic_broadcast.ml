@@ -139,7 +139,7 @@ type t = {
      ends, so the table holds only messages still collecting acks. *)
   (* stage -> sender -> (acked, pending) *)
   states : (int, (int, msg list * msg list) Hashtbl.t) Hashtbl.t;
-  cut_proposed : (int, unit) Hashtbl.t;
+  cut_proposed : (int, unit) Hashtbl.t; (* pruned as each cut applies *)
   cut_timer_armed : (int, unit) Hashtbl.t;
   submit_batch : msg Batcher.t;
   ack_batch : ((int * int) * int) Batcher.t;
@@ -485,6 +485,9 @@ let apply_cut t ~stage ~first ~rest =
     Sorted.iter ~cmp:Int.compare
       (fun s _ -> if s <= stage then Hashtbl.remove t.ack_counts s)
       t.ack_counts;
+    Sorted.iter ~cmp:Int.compare
+      (fun s () -> if s <= stage then Hashtbl.remove t.cut_proposed s)
+      t.cut_proposed;
     Hashtbl.reset t.stage_history;
     (* The index mirrors pending U stage_history; with the history gone it
        is rebuilt from the pending survivors. *)

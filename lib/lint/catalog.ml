@@ -307,6 +307,7 @@ let metrics =
     (* consensus *)
     c "consensus.instances_started"; c "consensus.instances_decided";
     h "consensus.rounds"; c "consensus.coordinator_suspicions";
+    g "consensus.live_instances";
     (* abcast *)
     c "abcast.submitted"; c "abcast.proposals"; h "abcast.batch_size";
     c "abcast.delivered"; h "abcast.latency_ms"; g "abcast.pending_size";

@@ -226,6 +226,49 @@ let test_bootstrap_purges_pending () =
     [ (1, 2) ]
     (seq logs 2)
 
+let test_bootstrap_forgets_below_transfer () =
+  (* A joiner that started consensus instances before its state transfer
+     overtook them keeps nothing below the transferred starting point: no
+     round state, no decision, no backlog, no proposal marker, and late
+     traffic for those instances is dropped. *)
+  let w = make_world ~n:3 () in
+  let abs, logs = build w in
+  let links = [ (0, 2); (1, 2); (2, 0); (2, 1) ] in
+  let set_drop d =
+    List.iter (fun (src, dst) -> Netsim.set_link w.net ~src ~dst ~drop:d ()) links
+  in
+  Ab.abcast abs.(0) (App 1);
+  (* Node 2 starts instance 0, then is cut off while nodes 0 and 1 go on
+     to decide instances 1 and 2 without it. *)
+  ignore (Engine.schedule w.engine ~delay:3.0 (fun () -> set_drop 1.0));
+  ignore (Engine.schedule w.engine ~delay:1_000.0 (fun () -> Ab.abcast abs.(0) (App 2)));
+  ignore (Engine.schedule w.engine ~delay:2_000.0 (fun () -> Ab.abcast abs.(1) (App 3)));
+  run_until w 10_000.0;
+  let k = Ab.next_instance abs.(0) in
+  check_int "survivors applied three instances" 3 k;
+  Alcotest.(check (option int)) "joiner holds instance 0" (Some 0)
+    (Ab.lowest_held abs.(2));
+  Ab.bootstrap abs.(2) ~next_instance:k ~members:(Ab.members abs.(0))
+    ~delivered:(Ab.delivered abs.(0));
+  let nothing_below k =
+    match Ab.lowest_held abs.(2) with None -> true | Some i -> i >= k
+  in
+  check_bool "nothing held below the transfer point" true (nothing_below k);
+  (* Heal: the survivors' retransmissions of instances 0..2 now reach the
+     joiner, and must not resurrect them. *)
+  set_drop 0.0;
+  run_until w 20_000.0;
+  check_bool "late pre-transfer traffic dropped" true (nothing_below k);
+  Ab.abcast abs.(2) (App 4);
+  run_until w 40_000.0;
+  assert_same_sequences logs [ 0; 1 ];
+  Alcotest.(check (list (pair int int)))
+    "joiner delivered only the post-transfer message"
+    [ (2, 4) ]
+    (seq logs 2);
+  check_bool "applied instances forgotten" true
+    (nothing_below (Ab.next_instance abs.(2)))
+
 let prop_total_order_random =
   QCheck.Test.make ~name:"abcast total order across random schedules" ~count:10
     QCheck.(pair small_nat (float_bound_inclusive 0.15))
@@ -263,6 +306,8 @@ let suite =
           test_latency_failure_free;
         Alcotest.test_case "bootstrap purges pending (state transfer)" `Quick
           test_bootstrap_purges_pending;
+        Alcotest.test_case "bootstrap forgets instances below the transfer"
+          `Quick test_bootstrap_forgets_below_transfer;
         QCheck_alcotest.to_alcotest prop_total_order_random;
       ] );
   ]

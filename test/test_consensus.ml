@@ -193,6 +193,71 @@ let test_late_proposer_noop () =
   run_until w 20_000.0;
   check_bool "no second decision" true (decisions logs 0 = before)
 
+let test_forgotten_instance_drops_late_traffic () =
+  (* Once the floor passes an instance, late copies of its traffic — a
+     start, an estimate, a decision — neither decide again nor solicit nor
+     park in the backlog, and a late proposal starts nothing. *)
+  let w = make_world ~n:3 () in
+  let n = 3 in
+  let logs = Array.make n [] in
+  let solicits = ref 0 in
+  let conss =
+    Array.mapi
+      (fun i node ->
+        Consensus.create node.proc ~rc:node.rc ~rb:node.rb ~fd:node.fd
+          ~on_decide:(fun ~inst v -> logs.(i) <- (inst, as_val v) :: logs.(i))
+          ~on_solicit:(fun ~inst:_ -> if i = 0 then incr solicits)
+          ())
+      w.nodes
+  in
+  (* Node 0 coordinates round 1: record the consensus traffic it receives,
+     by kind and sender, so it can be sent again once the instance is gone. *)
+  let recording = ref true and late = ref [] in
+  let record src p =
+    let s = Gc_net.Payload.to_string p in
+    let kind =
+      match String.index_opt s '[' with Some i -> String.sub s 0 i | None -> s
+    in
+    if !recording && String.starts_with ~prefix:"cs." kind then
+      late := (kind, src, p) :: !late
+  in
+  Rc.on_deliver w.nodes.(0).rc (fun ~src p -> record src p);
+  Rb.on_deliver w.nodes.(0).rb (fun ~origin p -> record origin p);
+  Array.iteri
+    (fun i c -> Consensus.propose c ~inst:0 ~members:(ids n) (Val (100 + i)))
+    conss;
+  run_until w 10_000.0;
+  recording := false;
+  let before = decisions logs 0 in
+  check_int "decided once" 1 (List.length before);
+  List.iter
+    (fun k ->
+      check_bool ("captured a late " ^ k) true
+        (List.exists (fun (kind, _, _) -> kind = k) !late))
+    [ "cs.start"; "cs.est"; "cs.decide" ];
+  let held () = Consensus.lowest_held conss.(0) in
+  Alcotest.(check (option int)) "decided mark held below the floor" (Some 0)
+    (held ());
+  Consensus.forget_below conss.(0) ~inst:1;
+  Alcotest.(check (option int)) "forgotten" None (held ());
+  let started () =
+    Gc_obs.Metrics.counter
+      (Process.metrics w.nodes.(0).proc)
+      "consensus.instances_started"
+  in
+  let started_before = started () and solicits_before = !solicits in
+  List.iter
+    (fun (kind, src, p) ->
+      if kind = "cs.decide" then Rb.broadcast w.nodes.(src).rb ~dests:[ 0 ] p
+      else Rc.send w.nodes.(src).rc ~dst:0 p)
+    (List.rev !late);
+  Consensus.propose conss.(0) ~inst:0 ~members:(ids n) (Val 999);
+  run_until w 20_000.0;
+  check_bool "no second decision" true (decisions logs 0 = before);
+  check_int "no solicitation" solicits_before !solicits;
+  check_int "late proposal started nothing" started_before (started ());
+  Alcotest.(check (option int)) "nothing parked" None (held ())
+
 let test_two_crashes_n5 () =
   (* f = 2 < n/2 at n = 5: still decides. *)
   for_seeds ~count:6 (fun seed ->
@@ -290,6 +355,8 @@ let suite =
         Alcotest.test_case "concurrent instances" `Quick test_concurrent_instances;
         Alcotest.test_case "score prefers higher" `Quick test_score_prefers_higher;
         Alcotest.test_case "late proposer noop" `Quick test_late_proposer_noop;
+        Alcotest.test_case "forgotten instance drops late traffic" `Quick
+          test_forgotten_instance_drops_late_traffic;
         Alcotest.test_case "two crashes at n=5" `Slow test_two_crashes_n5;
         Alcotest.test_case "minority partition never decides" `Slow
           test_minority_partition_never_decides;

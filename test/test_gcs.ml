@@ -247,11 +247,46 @@ let test_second_sponsor_after_sponsor_crash () =
   check_bool "member of the view" true
     (View.mem (Stack.view stacks.(1)) 3)
 
+let test_consensus_state_bounded () =
+  (* Every ordered cast runs consensus (the cut path); atomic broadcast has
+     consensus forget each instance as it applies it, so the state held
+     stays a few instances however many were decided. *)
+  let engine, _net, stacks, applied = make_stacks ~n:3 ~seed:9L () in
+  let casts = 2_000 in
+  let live s =
+    Gc_obs.Metrics.gauge (Stack.metrics s) "consensus.live_instances"
+  in
+  let peak = ref 0.0 in
+  for k = 0 to casts - 1 do
+    ignore
+      (Engine.schedule engine ~delay:(float_of_int k) (fun () ->
+           Stack.abcast stacks.(k mod 3) (Op k);
+           Array.iter (fun s -> peak := Float.max !peak (live s)) stacks))
+  done;
+  Engine.run ~until:60_000.0 engine;
+  for i = 0 to 2 do
+    check_int "all delivered" casts (List.length (history applied i))
+  done;
+  let decided =
+    Gc_obs.Metrics.counter (Stack.metrics stacks.(0))
+      "consensus.instances_decided"
+  in
+  check_bool
+    (Printf.sprintf "many instances decided (%d)" decided)
+    true (decided >= 100);
+  check_bool (Printf.sprintf "live instances stay small (peak %.0f)" !peak)
+    true (!peak <= 4.0);
+  Array.iter
+    (fun s -> check_bool "at most one live after quiescence" true (live s <= 1.0))
+    stacks
+
 let suite =
   [
     ( "gcs-stack",
       [
         Alcotest.test_case "ordered broadcast" `Quick test_basic_ordered_broadcast;
+        Alcotest.test_case "consensus state bounded" `Quick
+          test_consensus_state_bounded;
         Alcotest.test_case "rbcast fast and agreed" `Quick
           test_rbcast_fast_and_agreed;
         Alcotest.test_case "crash -> exclusion -> progress" `Slow
