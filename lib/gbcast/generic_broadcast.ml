@@ -645,6 +645,23 @@ let ack_tallies t =
 let bootstrap t ~stage ~delivered =
   t.stage <- stage;
   Delivered.union_into ~into:t.delivered delivered;
+  (* Stragglers rdelivered before the transfer completed are already
+     delivered at the snapshot source: purge them, or they would stay in
+     the conflict index forever and freeze the fast path on every message
+     they conflict with. *)
+  let drop_delivered tbl =
+    Hashtbl.filter_map_inplace
+      (fun id m ->
+        if Delivered.mem t.delivered id then begin
+          Conflict_index.remove t.index id;
+          None
+        end
+        else Some m)
+      tbl
+  in
+  drop_delivered t.pending;
+  drop_delivered t.stage_history;
+  note_occupancy t;
   (* Own submissions the transferred set covers are never delivered here:
      their stamps go with them. *)
   let me = Process.id t.proc in

@@ -7,6 +7,7 @@ module Netsim = Gc_net.Netsim
 module Trace = Gc_sim.Trace
 module View = Gc_membership.View
 module Stack = Gcs.Gcs_stack
+module Gb = Gc_gbcast.Generic_broadcast
 open Support
 
 type Gc_net.Payload.t += Op of int | State of int list
@@ -280,11 +281,64 @@ let test_consensus_state_bounded () =
     (fun s -> check_bool "at most one live after quiescence" true (live s <= 1.0))
     stacks
 
+let test_fast_path_after_rejoin () =
+  (* A joiner's generic broadcast must drop every message the transferred
+     delivered set covers.  An ordered straggler it received before the
+     transfer would otherwise sit in its conflict index forever: it freezes
+     the joiner on every commuting message, and since the stack's fast path
+     needs every member's ack, the whole group loses the fast path. *)
+  let config = Stack.Config.make ~state_transfer_delay:50.0 () in
+  let engine, _net, stacks, _ =
+    make_stacks ~config ~n:4 ~n_founders:(Some 3) ~seed:31L ()
+  in
+  let gb i = Stack.generic_broadcast stacks.(i) in
+  let at time f = ignore (Engine.schedule engine ~delay:time f) in
+  at 500.0 (fun () -> Stack.join stacks.(3) ~via:0);
+  (* Mixed load across the join: every third op is ordered. *)
+  for k = 0 to 600 do
+    at
+      (300.0 +. float_of_int (2 * k))
+      (fun () ->
+        if k mod 3 = 0 then Stack.abcast stacks.(k mod 3) (Op k)
+        else Stack.rbcast stacks.(k mod 3) (Op k))
+  done;
+  at 3000.0 (fun () -> Stack.abcast stacks.(1) (Op 1000));
+  Engine.run ~until:4000.0 engine;
+  check_bool "joiner joined" true (Stack.joined stacks.(3));
+  let fast0 = Array.init 4 (fun i -> Gb.fast_delivered_count (gb i)) in
+  let stage0 = Array.init 4 (fun i -> Gb.stage (gb i)) in
+  let commuting = 1000 in
+  for k = 0 to commuting - 1 do
+    at
+      (float_of_int (2 * k))
+      (fun () -> Stack.rbcast stacks.(k mod 4) (Op (2000 + k)))
+  done;
+  (* One ordered op ends the stage, which empties every conflict index
+     of everything but dead entries. *)
+  at 3000.0 (fun () -> Stack.abcast stacks.(2) (Op 1001));
+  Engine.run ~until:30_000.0 engine;
+  for i = 0 to 3 do
+    let fast = Gb.fast_delivered_count (gb i) - fast0.(i) in
+    let stages = Gb.stage (gb i) - stage0.(i) in
+    check_bool
+      (Printf.sprintf "node %d: %d of %d commuting ops fast" i fast commuting)
+      true (fast >= 990);
+    check_bool
+      (Printf.sprintf "node %d: %d stage changes" i stages)
+      true (stages <= 2)
+  done;
+  check_int "joiner's conflict index empty" 0
+    (int_of_float
+       (Gc_obs.Metrics.gauge (Stack.metrics stacks.(3))
+          "gbcast.conflict_class_occupancy"))
+
 let suite =
   [
     ( "gcs-stack",
       [
         Alcotest.test_case "ordered broadcast" `Quick test_basic_ordered_broadcast;
+        Alcotest.test_case "fast path after rejoin" `Quick
+          test_fast_path_after_rejoin;
         Alcotest.test_case "consensus state bounded" `Quick
           test_consensus_state_bounded;
         Alcotest.test_case "rbcast fast and agreed" `Quick
