@@ -93,7 +93,7 @@ type t = {
   mutable pending : msg Pending.t; (* rdelivered, not yet adelivered *)
   mutable pending_n : int; (* cardinal of [pending], kept incrementally *)
   delivered : Delivered.t;
-  proposed : (int, unit) Hashtbl.t; (* pruned below next_to_apply *)
+  mutable proposed : int; (* the last instance this process proposed for *)
   decided_batches : (int, msg list) Hashtbl.t; (* out-of-order decisions *)
   mutable max_solicited : int;
   submit_batch : msg Batcher.t;
@@ -131,10 +131,10 @@ let pending_remove t id =
   end
 
 let try_start t =
-  if member t && not (Hashtbl.mem t.proposed t.next_to_apply) then begin
+  if member t && t.proposed <> t.next_to_apply then begin
     let batch = current_batch t in
     if batch <> [] || t.max_solicited >= t.next_to_apply then begin
-      Hashtbl.replace t.proposed t.next_to_apply ();
+      t.proposed <- t.next_to_apply;
       Process.incr t.proc "abcast.proposals";
       Process.observe t.proc "abcast.batch_size"
         (float_of_int (List.length batch));
@@ -156,9 +156,6 @@ let apply_decisions t =
     | None -> ()
     | Some batch ->
         Hashtbl.remove t.decided_batches t.next_to_apply;
-        (* The instance is being applied: nothing consults its proposal
-           marker again, so the table stays O(in-flight instances). *)
-        Hashtbl.remove t.proposed t.next_to_apply;
         t.next_to_apply <- t.next_to_apply + 1;
         List.iter
           (fun m ->
@@ -221,7 +218,7 @@ let create proc ~rc ~rb ~fd ?(suspect_timeout = 200.0) ?(adaptive = false)
         pending = Pending.empty;
         pending_n = 0;
         delivered = Delivered.create ();
-        proposed = Hashtbl.create 64;
+        proposed = -1;
         decided_batches = Hashtbl.create 16;
         max_solicited = -1;
         submit_batch =
@@ -289,16 +286,12 @@ let members t = t.member_list
 let bootstrap t ~next_instance ~members ~delivered =
   t.member_list <- members;
   t.next_to_apply <- next_instance;
-  (* Proposal markers and decisions for instances below the transferred
-     starting point can never be consulted again; [apply_decisions] below
-     has consensus forget them too. *)
-  let drop_below tbl =
-    Hashtbl.filter_map_inplace
-      (fun inst v -> if inst < next_instance then None else Some v)
-      tbl
-  in
-  drop_below t.proposed;
-  drop_below t.decided_batches;
+  (* Decisions for instances below the transferred starting point can
+     never be consulted again; [apply_decisions] below has consensus forget
+     them too. *)
+  Hashtbl.filter_map_inplace
+    (fun inst v -> if inst < next_instance then None else Some v)
+    t.decided_batches;
   Delivered.union_into ~into:t.delivered delivered;
   (* Stragglers rdelivered before the transfer completed are already
      delivered at the snapshot source: purge them, or every future proposal
@@ -324,10 +317,11 @@ let delivered t = t.delivered
 let pending_count t = t.pending_n
 
 let lowest_held t =
-  let keys tbl = Sorted.keys tbl in
+  (* A proposal marker below [next_to_apply] is for an applied instance. *)
+  let proposed = if t.proposed >= t.next_to_apply then [ t.proposed ] else [] in
   match
     List.sort Int.compare
-      (keys t.proposed @ keys t.decided_batches
+      (proposed @ Sorted.keys t.decided_batches
       @ Option.to_list (Consensus.lowest_held (consensus_of t)))
   with
   | [] -> None

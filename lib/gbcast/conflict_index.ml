@@ -46,12 +46,6 @@ let remove t id =
           occ.(c) <- occ.(c) - 1
       | None -> ())
 
-let clear = function
-  | Scan { tbl; _ } -> Hashtbl.reset tbl
-  | Classes { occ; cls; _ } ->
-      Hashtbl.reset cls;
-      Array.fill occ 0 (Array.length occ) 0
-
 let blocked t ~excluding payload =
   match t with
   | Scan { rel; tbl } ->

@@ -17,9 +17,8 @@
       arbitrary relations.
 
     The structure is a {e set} keyed by message id: {!add} is idempotent
-    and {!remove} tolerates absent ids, so callers can mirror insertions
-    into overlapping tables (pending and stage history) without
-    double-counting. *)
+    and {!remove} tolerates absent ids.  Generic broadcast keeps it equal to
+    the key set of its one stage table. *)
 
 type id = int * int
 
@@ -36,7 +35,6 @@ val remove : t -> id -> unit
 (** Stop tracking an id (no-op when untracked). *)
 
 val mem : t -> id -> bool
-val clear : t -> unit
 
 val occupancy : t -> int
 (** Number of tracked messages. *)

@@ -113,6 +113,10 @@ type ack_mode = Two_thirds | All_members
    apart, so that normally a single cut is broadcast. *)
 let cut_backoff = 15.0
 
+(* A stage-table entry; [acked]: this process acked it in the current
+   stage. *)
+type entry = { msg : msg; mutable acked : bool }
+
 type t = {
   proc : Process.t;
   rb : Rb.t;
@@ -120,27 +124,33 @@ type t = {
   ab : Ab.t;
   storage : Gc_kernel.Storage.t option;
   conflict : Conflict.relation; (* pairwise view of [conflict_spec] *)
-  index : Conflict_index.t; (* occupancy over pending U stage_history *)
+  index : Conflict_index.t; (* occupancy over the ids of [tracked] *)
   ack_mode : ack_mode;
   mutable member_list : int list;
   mutable next_gseq : int;
   mutable stage : int;
   mutable frozen : bool;
-  pending : (int * int, msg) Hashtbl.t; (* rdelivered, not yet g-delivered *)
-  (* Messages acked by me in the current stage.  Entries survive local fast
-     delivery: the ack rule and the published stage state must keep seeing
+  (* The stage table: every rdelivered message not yet g-delivered (the
+     pending ones), plus every message this process acked in the current
+     stage.  Acked entries survive local fast delivery until the stage
+     ends: the ack rule and the published stage state must keep seeing
      them, otherwise a conflicting message could gather a quorum too, or a
-     fast-delivered message could drop out of the stage-change cut. *)
-  stage_history : (int * int, msg) Hashtbl.t;
+     fast-delivered message could drop out of the stage-change cut.  So a
+     delivered id is held iff it is acked.  [track] and [untrack] are the
+     only writers of the table's key set and of [index], which holds
+     exactly those keys. *)
+  tracked : (int * int, entry) Hashtbl.t;
   delivered : Delivered.t;
-  ack_counts : (int, (int * int, (int, unit) Hashtbl.t) Hashtbl.t) Hashtbl.t;
-  (* stage -> message id -> members that acked it in that stage.  A tally
-     goes when its message is delivered, a stage's tallies when the stage
-     ends, so the table holds only messages still collecting acks. *)
+  ack_counts : (int, (int * int, int list) Hashtbl.t) Hashtbl.t;
+  (* stage -> message id -> members that acked it in that stage.  Member
+     ids, not ranks: acks for a later stage may arrive before a view change
+     moves the ranks.  A tally goes when its message is delivered, a
+     stage's tallies when the stage ends, so the table holds only messages
+     still collecting acks. *)
   (* stage -> sender -> (acked, pending) *)
   states : (int, (int, msg list * msg list) Hashtbl.t) Hashtbl.t;
-  cut_proposed : (int, unit) Hashtbl.t; (* pruned as each cut applies *)
-  cut_timer_armed : (int, unit) Hashtbl.t;
+  mutable cut_proposed : int; (* the stage this process proposed a cut for *)
+  mutable cut_timer_armed : int; (* the stage its proposal timer waits on *)
   submit_batch : msg Batcher.t;
   ack_batch : ((int * int) * int) Batcher.t;
   sent_at : (int, float) Hashtbl.t;
@@ -183,11 +193,20 @@ let note_occupancy t =
   Process.set_gauge t.proc "gbcast.conflict_class_occupancy"
     (float_of_int (Conflict_index.occupancy t.index))
 
-(* Track a newly rdelivered message: the conflict index mirrors
-   pending U stage_history, and new arrivals enter through pending. *)
-let track_pending t id m =
-  Hashtbl.replace t.pending id m;
-  Conflict_index.add t.index id m.body
+(* Enter a newly rdelivered message in the stage table, unless it is
+   delivered or held already; [true] if it was new. *)
+let track t m =
+  let id = msg_id m in
+  let fresh = not (Delivered.mem t.delivered id || Hashtbl.mem t.tracked id) in
+  if fresh then begin
+    Hashtbl.replace t.tracked id { msg = m; acked = false };
+    Conflict_index.add t.index id m.body
+  end;
+  fresh
+
+let untrack t id =
+  Hashtbl.remove t.tracked id;
+  Conflict_index.remove t.index id
 
 (* Write-ahead delivery log: appended after dedup accepts the id, before
    subscribers run.  [ordered] records the message's conflict class so
@@ -220,15 +239,13 @@ let observe_latency t gseq =
 let deliver t m =
   let id = msg_id m in
   if Delivered.add t.delivered id then begin
-    Hashtbl.remove t.pending id;
     (match Hashtbl.find_opt t.ack_counts t.stage with
     | Some tallies -> Hashtbl.remove tallies id
     | None -> ());
-    (* The examine scan still sees stage-history entries (the ack rule keeps
-       them until the stage ends), so the index only forgets ids that left
-       both tables. *)
-    if not (Hashtbl.mem t.stage_history id) then
-      Conflict_index.remove t.index id;
+    (* An acked entry stays until the stage ends. *)
+    (match Hashtbl.find_opt t.tracked id with
+    | Some { acked = false; _ } -> untrack t id
+    | _ -> ());
     log_delivery t m;
     t.n_delivered <- t.n_delivered + 1;
     Process.incr t.proc "gbcast.delivered";
@@ -252,12 +269,16 @@ let deliver t m =
     List.iter (fun f -> f ~origin:m.origin m.body) (List.rev t.subscribers)
   end
 
-let pending_msgs t =
-  List.sort compare_msg (Hashtbl.fold (fun _ m acc -> m :: acc) t.pending [])
-
-let acked_msgs t =
+let tracked_msgs t keep =
   List.sort compare_msg
-    (Hashtbl.fold (fun _ m acc -> m :: acc) t.stage_history [])
+    (Hashtbl.fold
+       (fun id e acc -> if keep id e then e.msg :: acc else acc)
+       t.tracked [])
+
+let pending_msgs t =
+  tracked_msgs t (fun id _ -> not (Delivered.mem t.delivered id))
+
+let acked_msgs t = tracked_msgs t (fun _ e -> e.acked)
 
 let state_table t stage =
   match Hashtbl.find_opt t.states stage with
@@ -267,28 +288,27 @@ let state_table t stage =
       Hashtbl.replace t.states stage tbl;
       tbl
 
-let ack_set t id stage =
-  let tallies =
-    match Hashtbl.find_opt t.ack_counts stage with
-    | Some tallies -> tallies
-    | None ->
-        let tallies = Hashtbl.create 64 in
-        Hashtbl.replace t.ack_counts stage tallies;
-        tallies
-  in
-  match Hashtbl.find_opt tallies id with
-  | Some s -> s
-  | None ->
-      let s = Hashtbl.create 8 in
-      Hashtbl.replace tallies id s;
-      s
+let acks t id stage =
+  match Hashtbl.find_opt t.ack_counts stage with
+  | Some tallies -> Option.value ~default:[] (Hashtbl.find_opt tallies id)
+  | None -> []
 
 (* An ack only counts towards a fast delivery in its own stage, while the
    message is undelivered: acks for delivered messages and ended stages
    are ignored rather than tallied forever. *)
 let record_ack t ~src id stage =
-  if stage >= t.stage && not (Delivered.mem t.delivered id) then
-    Hashtbl.replace (ack_set t id stage) src ()
+  if stage >= t.stage && not (Delivered.mem t.delivered id) then begin
+    let tallies =
+      match Hashtbl.find_opt t.ack_counts stage with
+      | Some tallies -> tallies
+      | None ->
+          let tallies = Hashtbl.create 64 in
+          Hashtbl.replace t.ack_counts stage tallies;
+          tallies
+    in
+    let acks = Option.value ~default:[] (Hashtbl.find_opt tallies id) in
+    if not (List.mem src acks) then Hashtbl.replace tallies id (src :: acks)
+  end
 
 (* Freeze the fast path and publish our stage state.  Every process freezes
    on detecting a conflict locally or on hearing any other process's state
@@ -332,7 +352,7 @@ and record_state t ~src ~stage ~acked ~pending =
    two conflicting messages can both reach the threshold (3C > 2n), so
    [first] is complete and internally conflict-free. *)
 and try_cut t =
-  if member t && not (Hashtbl.mem t.cut_proposed t.stage) then begin
+  if member t && t.cut_proposed <> t.stage then begin
     (* Stagger proposals by member rank so that normally exactly one cut is
        broadcast; lower-ranked members take over (after their backoff) if
        the natural proposer is dead. *)
@@ -344,21 +364,21 @@ and try_cut t =
       idx 0 t.member_list
     in
     if rank = 0 then force_cut t
-    else if not (Hashtbl.mem t.cut_timer_armed t.stage) then begin
-      Hashtbl.replace t.cut_timer_armed t.stage ();
+    else if t.cut_timer_armed <> t.stage then begin
+      t.cut_timer_armed <- t.stage;
       let stage = t.stage in
       ignore
         (Process.timer t.proc ~delay:(float_of_int rank *. cut_backoff)
            (fun () ->
              (* Re-armable: if the cut cannot be built yet (states still
                 missing in two-thirds mode), the next recorded state retries. *)
-             Hashtbl.remove t.cut_timer_armed stage;
+             if t.cut_timer_armed = stage then t.cut_timer_armed <- -1;
              if t.stage = stage && t.frozen then force_cut t))
     end
   end
 
 and force_cut t =
-  if member t && not (Hashtbl.mem t.cut_proposed t.stage) then begin
+  if member t && t.cut_proposed <> t.stage then begin
     let tbl = state_table t t.stage in
     let c = chk_quorum t in
     if Hashtbl.length tbl >= c then begin
@@ -384,7 +404,7 @@ and force_cut t =
                Option.value ~default:0 (Hashtbl.find_opt tally (msg_id m))
                >= threshold)
       in
-      Hashtbl.replace t.cut_proposed t.stage ();
+      t.cut_proposed <- t.stage;
       Process.incr t.proc "gbcast.cuts_proposed";
       if Process.traced t.proc then
         Process.event t.proc ~component:"gbcast"
@@ -407,53 +427,45 @@ and force_cut t =
    over every stage-relevant message. *)
 let rec examine t m =
   let id = msg_id m in
-  if
-    member t && (not t.frozen)
-    && (not (Delivered.mem t.delivered id))
-    && Hashtbl.mem t.pending id
-    && not (Hashtbl.mem t.stage_history id)
-  then begin
-    (* In all-members mode, a self-conflicting (ordered-class) message never
-       takes the fast path: routing it through the stage-change cut keeps
-       its delivery live with f < n/2, since the cut only needs atomic
-       broadcast. *)
-    let self_conflicting =
-      t.ack_mode = All_members && t.conflict m.body m.body
-    in
-    let conflicts_with_stage =
-      self_conflicting || Conflict_index.blocked t.index ~excluding:id m.body
-    in
-    if conflicts_with_stage then freeze t
-    else begin
-      Hashtbl.replace t.stage_history id m;
-      Hashtbl.replace (ack_set t id t.stage) (Process.id t.proc) ();
-      Batcher.add t.ack_batch (id, t.stage);
-      try_fast_deliver t id
-    end
-  end
+  match Hashtbl.find_opt t.tracked id with
+  | Some ({ acked = false; _ } as e) when member t && not t.frozen ->
+      (* In all-members mode, a self-conflicting (ordered-class) message never
+         takes the fast path: routing it through the stage-change cut keeps
+         its delivery live with f < n/2, since the cut only needs atomic
+         broadcast. *)
+      let self_conflicting =
+        t.ack_mode = All_members && t.conflict m.body m.body
+      in
+      let conflicts_with_stage =
+        self_conflicting || Conflict_index.blocked t.index ~excluding:id m.body
+      in
+      if conflicts_with_stage then freeze t
+      else begin
+        e.acked <- true;
+        record_ack t ~src:(Process.id t.proc) id t.stage;
+        Batcher.add t.ack_batch (id, t.stage);
+        try_fast_deliver t id
+      end
+  | _ -> ()
 
 and try_fast_deliver t id =
-  if (not (Delivered.mem t.delivered id)) && Hashtbl.mem t.pending id
-  then begin
-    let acks = ack_set t id t.stage in
-    if Hashtbl.length acks >= ack_quorum t then begin
-      match Hashtbl.find_opt t.pending id with
-      | Some m ->
-          t.n_fast <- t.n_fast + 1;
-          Process.incr t.proc "gbcast.fast_deliveries";
-          if Process.traced t.proc then
-            Process.event t.proc ~component:"gbcast"
-              ~kind:(Gc_obs.Event.Custom "fast_deliver")
-              ~attrs:
-                [
-                  ("origin", string_of_int (fst id));
-                  ("gseq", string_of_int (snd id));
-                ]
-              ();
-          deliver t m
-      | None -> ()
-    end
-  end
+  match Hashtbl.find_opt t.tracked id with
+  | Some e
+    when (not (Delivered.mem t.delivered id))
+         && List.length (acks t id t.stage) >= ack_quorum t ->
+      t.n_fast <- t.n_fast + 1;
+      Process.incr t.proc "gbcast.fast_deliveries";
+      if Process.traced t.proc then
+        Process.event t.proc ~component:"gbcast"
+          ~kind:(Gc_obs.Event.Custom "fast_deliver")
+          ~attrs:
+            [
+              ("origin", string_of_int (fst id));
+              ("gseq", string_of_int (snd id));
+            ]
+          ();
+      deliver t e.msg
+  | _ -> ()
 
 (* Acks buffered by [examine] go out at the end of the handler that
    produced them: one [Gb_acks] vector per incoming fast batch instead of
@@ -479,20 +491,17 @@ let apply_cut t ~stage ~first ~rest =
     in
     List.iter via_cut first;
     List.iter via_cut rest;
-    (* New stage: stale acks and states are dropped; survivors of [pending]
-       (messages that arrived during the change) are re-examined. *)
+    (* New stage: stale acks and states are dropped, and so are the stage
+       table's delivered entries; the survivors (messages that arrived
+       during the change) lose their acks and are re-examined. *)
     Hashtbl.remove t.states stage;
     Sorted.iter ~cmp:Int.compare
       (fun s _ -> if s <= stage then Hashtbl.remove t.ack_counts s)
       t.ack_counts;
-    Sorted.iter ~cmp:Int.compare
-      (fun s () -> if s <= stage then Hashtbl.remove t.cut_proposed s)
-      t.cut_proposed;
-    Hashtbl.reset t.stage_history;
-    (* The index mirrors pending U stage_history; with the history gone it
-       is rebuilt from the pending survivors. *)
-    Conflict_index.clear t.index;
-    Sorted.iter (fun id m -> Conflict_index.add t.index id m.body) t.pending;
+    Sorted.iter
+      (fun id e ->
+        if Delivered.mem t.delivered id then untrack t id else e.acked <- false)
+      t.tracked;
     t.stage <- stage + 1;
     t.frozen <- false;
     if Process.traced t.proc then
@@ -530,13 +539,12 @@ let create proc ~rc ~rb ~ab ~conflict ?(ack_mode = Two_thirds)
         next_gseq = Delivered.first_seq ~epoch;
         stage = 0;
         frozen = false;
-        pending = Hashtbl.create 64;
-        stage_history = Hashtbl.create 64;
+        tracked = Hashtbl.create 64;
         delivered = Delivered.create ();
         ack_counts = Hashtbl.create 256;
         states = Hashtbl.create 8;
-        cut_proposed = Hashtbl.create 8;
-        cut_timer_armed = Hashtbl.create 8;
+        cut_proposed = -1;
+        cut_timer_armed = -1;
         submit_batch =
           Batcher.create proc ~metric:"gbcast.batch_size" ~max_batch:batch_max
             ~max_delay:batch_delay
@@ -568,16 +576,7 @@ let create proc ~rc ~rb ~ab ~conflict ?(ack_mode = Two_thirds)
           (* Messages are tracked and examined in submission order, so
              per-sender FIFO and intra-batch conflict behaviour do not
              depend on how the submissions were batched. *)
-          List.iter
-            (fun m ->
-              let id = msg_id m in
-              if
-                not (Delivered.mem t.delivered id || Hashtbl.mem t.pending id)
-              then begin
-                track_pending t id m;
-                examine t m
-              end)
-            ms;
+          List.iter (fun m -> if track t m then examine t m) ms;
           flush_acks t;
           note_occupancy t
       | _ -> ());
@@ -593,12 +592,7 @@ let create proc ~rc ~rb ~ab ~conflict ?(ack_mode = Two_thirds)
           (* A state for a stage we have not reached yet can only result from
              reordering relative to the cut that ends our stage; it is keyed
              by its stage and consulted when we get there. *)
-          List.iter
-            (fun m ->
-              let id = msg_id m in
-              if not (Delivered.mem t.delivered id || Hashtbl.mem t.pending id)
-              then track_pending t id m)
-            (acked @ pending);
+          List.iter (fun m -> ignore (track t m)) (acked @ pending);
           record_state t ~src ~stage ~acked ~pending;
           note_occupancy t
       | _ -> ());
@@ -649,18 +643,9 @@ let bootstrap t ~stage ~delivered =
      delivered at the snapshot source: purge them, or they would stay in
      the conflict index forever and freeze the fast path on every message
      they conflict with. *)
-  let drop_delivered tbl =
-    Hashtbl.filter_map_inplace
-      (fun id m ->
-        if Delivered.mem t.delivered id then begin
-          Conflict_index.remove t.index id;
-          None
-        end
-        else Some m)
-      tbl
-  in
-  drop_delivered t.pending;
-  drop_delivered t.stage_history;
+  Sorted.iter
+    (fun id _ -> if Delivered.mem t.delivered id then untrack t id)
+    t.tracked;
   note_occupancy t;
   (* Own submissions the transferred set covers are never delivered here:
      their stamps go with them. *)

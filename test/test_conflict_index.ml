@@ -149,20 +149,6 @@ let test_idempotent_add_single_remove () =
         (Ci.blocked t ~excluding:(pid 9) (payload ~classes:1 9)))
     [ self_conflicting; Conflict.of_relation (fun _ _ -> true) ]
 
-let test_clear () =
-  let t = Ci.create self_conflicting in
-  for i = 0 to 4 do
-    Ci.add t (pid i) (payload ~classes:1 i)
-  done;
-  Ci.clear t;
-  Alcotest.(check int) "cleared" 0 (Ci.occupancy t);
-  Alcotest.(check bool)
-    "cleared index never blocks" false
-    (Ci.blocked t ~excluding:(pid 9) (payload ~classes:1 9));
-  (* Usable after clear (apply_cut rebuilds into the same structure). *)
-  Ci.add t (pid 7) (payload ~classes:1 7);
-  Alcotest.(check int) "re-add after clear" 1 (Ci.occupancy t)
-
 let test_two_class_spec () =
   (* The stack's own two-class shape: Commuting x Commuting is the only
      non-conflicting pair. *)
@@ -202,7 +188,6 @@ let suite =
           test_commuting_never_blocks;
         Alcotest.test_case "idempotent add, tolerant remove" `Quick
           test_idempotent_add_single_remove;
-        Alcotest.test_case "clear and reuse" `Quick test_clear;
         Alcotest.test_case "two-class stack spec" `Quick test_two_class_spec;
         Alcotest.test_case "rejects zero classes" `Quick
           test_indexed_rejects_zero_classes;
