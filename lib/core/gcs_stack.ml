@@ -220,13 +220,17 @@ let create runtime ?metrics ~id ~initial ?(config = default_config)
     | Gcs_snapshot { next_instance; ab_delivered; gb_stage; gb_delivered; app }
       ->
         (* Member lists follow from the view installation that the membership
-           layer performs right after installing the snapshot. *)
-        Ab.bootstrap !ab_ref ~next_instance ~members:(Ab.members !ab_ref)
-          ~delivered:ab_delivered;
+           layer performs right after installing the snapshot.  Atomic
+           broadcast goes last: it applies the decisions that raced ahead of
+           the transfer, and the stage cuts among them must find generic
+           broadcast at the transferred stage and the application on the
+           transferred state. *)
         Gb.bootstrap !gb_ref ~stage:gb_stage ~delivered:gb_delivered;
         (match (app, app_state_installer) with
         | Some s, Some f -> f s
-        | _ -> ())
+        | _ -> ());
+        Ab.bootstrap !ab_ref ~next_instance ~members:(Ab.members !ab_ref)
+          ~delivered:ab_delivered
     | _ -> ()
   in
   (* Same view delivery (Section 4.4) comes from routing view changes

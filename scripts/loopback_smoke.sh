@@ -116,18 +116,34 @@ done
 [ "${digests[0]}" = "${digests[2]}" ] || fail "order digests diverge (0 vs 2)"
 
 # Crash recovery: kill -9 a replica, keep writing through the survivors,
-# then boot it back on the same --data-dir.  It must replay its own
-# durable log, install the sponsor's state image, and reconverge on the
-# same digest.
+# then boot it back on the same --data-dir while mixed load keeps running.
+# It must replay its own durable log, install the sponsor's state image,
+# reconverge on the same digest, and keep the commuting fast path.
 echo "--- crash recovery phase: kill -9 node 2 ---"
 kill -9 "${PIDS[2]}" 2>/dev/null || fail "could not kill node 2"
 wait "${PIDS[2]}" 2>/dev/null || true
 
-"$CLIENT" load --server "${CPORTS[0]}" --ops 300 --conflicting 30 \
+# Ordered ops only: the fast path waits for every member's ack, so
+# commuting ops would stall until monitoring excludes node 2, and node 2
+# must come back while it is still in the view.
+"$CLIENT" load --server "${CPORTS[0]}" --ops 300 --conflicting 100 \
   --timeout 20000 >"$LOGDIR/load-postkill.out" 2>&1 \
   || fail "load via survivors after kill -9: $(cat "$LOGDIR/load-postkill.out")"
 "$CLIENT" put --server "${CPORTS[1]}" phase recovery --timeout 10000 >/dev/null \
   || fail "put via survivor after kill -9"
+
+# Keep ordered load running through node 0 until node 2 is back: the
+# members keep sending to node 2, so it receives ops that the sponsor's
+# image will cover.  Ordered only, for the reason above: a commuting op
+# in flight here would wait for node 2's ack until the next ordered op,
+# which a closed-loop client never sends.
+(
+  while [ ! -e "$LOGDIR/rejoined" ]; do
+    "$CLIENT" load --server "${CPORTS[0]}" --ops 100 --conflicting 100 \
+      --timeout 20000 || exit 1
+  done
+) >"$LOGDIR/load-rejoin.out" 2>&1 &
+REJOIN_LOAD=$!
 
 "$SERVER" --id 2 --peers "$PEERS" --client-port "${CPORTS[2]}" \
   --data-dir "$LOGDIR/data-2" --join-via 0 \
@@ -145,6 +161,9 @@ for _ in $(seq 1 30); do
   fi
 done
 [ -n "$ok" ] || fail "restarted node 2 did not recover the missed writes"
+touch "$LOGDIR/rejoined"
+wait "$REJOIN_LOAD" \
+  || fail "load via node 0 across the restart: $(cat "$LOGDIR/load-rejoin.out")"
 
 # Sum one Prometheus counter from a replica's stats endpoint.
 counter() {
@@ -158,6 +177,17 @@ counter() {
 fulls=$(counter "${CPORTS[0]}" gcs_server_full_transfers) || fail "stats via node 0"
 [ -n "$fulls" ] && [ "$fulls" -ge 1 ] \
   || fail "sponsor served no state transfer (full_transfers=${fulls:-0})"
+
+# Commuting ops through the reborn replica must take the fast path: a
+# rejoined replica that kept ordered ops the sponsor's image covers would
+# freeze on every commuting op, and no member would deliver fast again.
+fast0=$(counter "${CPORTS[2]}" gcs_gbcast_fast_deliveries) || fail "stats via node 2"
+"$CLIENT" load --server "${CPORTS[2]}" --ops 200 --conflicting 0 \
+  --timeout 20000 >"$LOGDIR/load-commute.out" 2>&1 \
+  || fail "commuting load via node 2: $(cat "$LOGDIR/load-commute.out")"
+fast1=$(counter "${CPORTS[2]}" gcs_gbcast_fast_deliveries) || fail "stats via node 2"
+echo "node 2 fast deliveries under commuting load: $fast0 -> $fast1"
+[ "$fast1" -gt "$fast0" ] || fail "node 2 lost the fast path after rejoining"
 
 # A post-recovery write through the reborn replica, then the whole dump
 # line again: order chain, state digest, ordered and commuting counts.

@@ -166,6 +166,64 @@ let test_sim_crash_rejoin () =
     (Metrics.counter (Replica.metrics replicas.(2)) "server.applied" > 0
     && Metrics.hist_count (Replica.metrics replicas.(2)) "server.latency_ms" > 0)
 
+(* Replica 2 is killed and restarted before monitoring excludes it, so
+   replica 0 resyncs it while ordered ops keep running through replica 0.
+   Consensus decisions that race ahead of the state transfer carry stage
+   cuts; they must reach generic broadcast at the transferred stage.  A
+   replica left in an old stage applies only its own cuts from then on,
+   and its acks never count, so no commuting op through it is answered. *)
+let test_sim_restart_under_ordered_load () =
+  let engine = Engine.create ~seed:1L () in
+  let trace = Gc_sim.Trace.create () in
+  let net = Netsim.create engine ~trace ~delay:Gc_net.Delay.lan ~n:(nodes + 2) () in
+  let stores = Array.init nodes (fun _ -> Storage.in_memory ()) in
+  let start ?join_via id =
+    Replica.create_rpc (Gc_kernel.Runtime.of_netsim net ~trace) ~id ~initial
+      ?join_via ~storage:stores.(id) ()
+  in
+  let replicas = Array.init nodes (fun id -> start id) in
+  let client id target =
+    Client.create (Gc_kernel.Runtime.of_netsim net ~trace) ~id ~replicas:[ target ] ()
+  in
+  let via_0 = client nodes 0 and via_2 = client (nodes + 1) 2 in
+  let requested = ref 0 and answered = ref 0 in
+  (* [ops] requests from [c], one every [every] ms from [at]. *)
+  let load ~at ~ops ~every c cmd =
+    for i = 0 to ops - 1 do
+      incr requested;
+      ignore
+        (Engine.schedule engine ~delay:(at +. (every *. float_of_int i)) (fun () ->
+             Client.request c ~cmd:(cmd i) ~on_reply:(fun _ ~latency:_ ->
+                 incr answered)))
+    done
+  in
+  let put i = Proto.Cl_put { rid = 0; key = Printf.sprintf "k%d" (i mod 5); value = string_of_int i } in
+  let incr_hits _ = Proto.Cl_incr { rid = 0; key = "hits"; delta = 1 } in
+  load ~at:300.0 ~ops:200 ~every:3.0 via_0 (fun i -> if i mod 3 = 0 then put i else incr_hits i);
+  ignore
+    (Engine.schedule engine ~delay:1_000.0 (fun () ->
+         Stack.crash (Replica.stack replicas.(2))));
+  load ~at:1_100.0 ~ops:800 ~every:3.0 via_0 put;
+  ignore
+    (Engine.schedule engine ~delay:1_500.0 (fun () ->
+         Netsim.recover net 2;
+         replicas.(2) <- start ~join_via:0 2));
+  let gb i = Stack.generic_broadcast (Replica.stack replicas.(i)) in
+  let fast_before = ref 0 in
+  ignore
+    (Engine.schedule engine ~delay:5_900.0 (fun () ->
+         fast_before := Gc_gbcast.Generic_broadcast.fast_delivered_count (gb 2)));
+  let commuting = 200 in
+  load ~at:6_000.0 ~ops:commuting ~every:5.0 via_2 incr_hits;
+  Engine.run ~until:60_000.0 engine;
+  Alcotest.(check int) "every request answered" !requested !answered;
+  let stage i = Gc_gbcast.Generic_broadcast.stage (gb i) in
+  Alcotest.(check int) "replica 2 in replica 0's stage" (stage 0) (stage 2);
+  Alcotest.(check int) "commuting ops through replica 2 fast" commuting
+    (Gc_gbcast.Generic_broadcast.fast_delivered_count (gb 2) - !fast_before);
+  let dump i = Kv.dump (Replica.kv replicas.(i)) in
+  Alcotest.(check string) "replica 2 matches replica 0" (dump 0) (dump 2)
+
 let suite =
   [
     ( "server",
@@ -174,5 +232,7 @@ let suite =
           test_crash_rejoin_full_image;
         Alcotest.test_case "crash and rejoin in virtual time" `Quick
           test_sim_crash_rejoin;
+        Alcotest.test_case "restart under ordered load keeps the stage" `Quick
+          test_sim_restart_under_ordered_load;
       ] );
   ]
