@@ -141,12 +141,11 @@ type t = {
      exactly those keys. *)
   tracked : (int * int, entry) Hashtbl.t;
   delivered : Delivered.t;
-  ack_counts : (int, (int * int, int list) Hashtbl.t) Hashtbl.t;
-  (* stage -> message id -> members that acked it in that stage.  Member
+  acks : (int * (int * int), int list) Hashtbl.t;
+  (* (stage, message id) -> members that acked it in that stage.  Member
      ids, not ranks: acks for a later stage may arrive before a view change
-     moves the ranks.  A tally goes when its message is delivered, a
-     stage's tallies when the stage ends, so the table holds only messages
-     still collecting acks. *)
+     moves the ranks.  A tally goes when its message is delivered or its
+     stage ends, so the table holds only messages still collecting acks. *)
   (* stage -> sender -> (acked, pending) *)
   states : (int, (int, msg list * msg list) Hashtbl.t) Hashtbl.t;
   mutable cut_proposed : int; (* the stage this process proposed a cut for *)
@@ -239,9 +238,7 @@ let observe_latency t gseq =
 let deliver t m =
   let id = msg_id m in
   if Delivered.add t.delivered id then begin
-    (match Hashtbl.find_opt t.ack_counts t.stage with
-    | Some tallies -> Hashtbl.remove tallies id
-    | None -> ());
+    Hashtbl.remove t.acks (t.stage, id);
     (* An acked entry stays until the stage ends. *)
     (match Hashtbl.find_opt t.tracked id with
     | Some { acked = false; _ } -> untrack t id
@@ -288,26 +285,17 @@ let state_table t stage =
       Hashtbl.replace t.states stage tbl;
       tbl
 
-let acks t id stage =
-  match Hashtbl.find_opt t.ack_counts stage with
-  | Some tallies -> Option.value ~default:[] (Hashtbl.find_opt tallies id)
-  | None -> []
+let ackers t id stage =
+  Option.value ~default:[] (Hashtbl.find_opt t.acks (stage, id))
 
 (* An ack only counts towards a fast delivery in its own stage, while the
    message is undelivered: acks for delivered messages and ended stages
    are ignored rather than tallied forever. *)
 let record_ack t ~src id stage =
   if stage >= t.stage && not (Delivered.mem t.delivered id) then begin
-    let tallies =
-      match Hashtbl.find_opt t.ack_counts stage with
-      | Some tallies -> tallies
-      | None ->
-          let tallies = Hashtbl.create 64 in
-          Hashtbl.replace t.ack_counts stage tallies;
-          tallies
-    in
-    let acks = Option.value ~default:[] (Hashtbl.find_opt tallies id) in
-    if not (List.mem src acks) then Hashtbl.replace tallies id (src :: acks)
+    let members = ackers t id stage in
+    if not (List.mem src members) then
+      Hashtbl.replace t.acks (stage, id) (src :: members)
   end
 
 (* Freeze the fast path and publish our stage state.  Every process freezes
@@ -452,7 +440,7 @@ and try_fast_deliver t id =
   match Hashtbl.find_opt t.tracked id with
   | Some e
     when (not (Delivered.mem t.delivered id))
-         && List.length (acks t id t.stage) >= ack_quorum t ->
+         && List.length (ackers t id t.stage) >= ack_quorum t ->
       t.n_fast <- t.n_fast + 1;
       Process.incr t.proc "gbcast.fast_deliveries";
       if Process.traced t.proc then
@@ -495,9 +483,9 @@ let apply_cut t ~stage ~first ~rest =
        table's delivered entries; the survivors (messages that arrived
        during the change) lose their acks and are re-examined. *)
     Hashtbl.remove t.states stage;
-    Sorted.iter ~cmp:Int.compare
-      (fun s _ -> if s <= stage then Hashtbl.remove t.ack_counts s)
-      t.ack_counts;
+    Hashtbl.filter_map_inplace
+      (fun (s, _) members -> if s <= stage then None else Some members)
+      t.acks;
     Sorted.iter
       (fun id e ->
         if Delivered.mem t.delivered id then untrack t id else e.acked <- false)
@@ -541,7 +529,7 @@ let create proc ~rc ~rb ~ab ~conflict ?(ack_mode = Two_thirds)
         frozen = false;
         tracked = Hashtbl.create 64;
         delivered = Delivered.create ();
-        ack_counts = Hashtbl.create 256;
+        acks = Hashtbl.create 256;
         states = Hashtbl.create 8;
         cut_proposed = -1;
         cut_timer_armed = -1;
@@ -631,10 +619,7 @@ let fast_delivered_count t = t.n_fast
 let stage t = t.stage
 let delivered t = t.delivered
 
-let ack_tallies t =
-  Sorted.fold ~cmp:Int.compare
-    (fun _ tallies n -> n + Hashtbl.length tallies)
-    t.ack_counts 0
+let ack_tallies t = Hashtbl.length t.acks
 
 let bootstrap t ~stage ~delivered =
   t.stage <- stage;
