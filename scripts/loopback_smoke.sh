@@ -6,9 +6,10 @@
 # total-order digest.  Then the crash-recovery gate: kill -9 one replica,
 # write more through the survivors, boot it back on the same --data-dir
 # and assert it recovers via log replay plus the sponsor's state image
-# and reconverges, with no frame dropped for exceeding the output cap.  Each server also appends a
-# telemetry JSONL time-series into $logdir, checked for well-formedness
-# at the end.
+# and reconverges, that commuting ops through it take the fast path, and
+# that no frame was dropped for exceeding the output cap.  Each server
+# also appends a telemetry JSONL time-series into $logdir, checked for
+# well-formedness at the end.
 #
 #   scripts/loopback_smoke.sh [logdir]
 #
@@ -116,7 +117,7 @@ done
 [ "${digests[0]}" = "${digests[2]}" ] || fail "order digests diverge (0 vs 2)"
 
 # Crash recovery: kill -9 a replica, keep writing through the survivors,
-# then boot it back on the same --data-dir while mixed load keeps running.
+# then boot it back on the same --data-dir while ordered load keeps running.
 # It must replay its own durable log, install the sponsor's state image,
 # reconverge on the same digest, and keep the commuting fast path.
 echo "--- crash recovery phase: kill -9 node 2 ---"
