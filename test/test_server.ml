@@ -197,9 +197,13 @@ let test_sim_restart_under_ordered_load () =
                  incr answered)))
     done
   in
-  let put i = Proto.Cl_put { rid = 0; key = Printf.sprintf "k%d" (i mod 5); value = string_of_int i } in
+  let put i =
+    Proto.Cl_put
+      { rid = 0; key = Printf.sprintf "k%d" (i mod 5); value = string_of_int i }
+  in
   let incr_hits _ = Proto.Cl_incr { rid = 0; key = "hits"; delta = 1 } in
-  load ~at:300.0 ~ops:200 ~every:3.0 via_0 (fun i -> if i mod 3 = 0 then put i else incr_hits i);
+  load ~at:300.0 ~ops:200 ~every:3.0 via_0 (fun i ->
+      if i mod 3 = 0 then put i else incr_hits i);
   ignore
     (Engine.schedule engine ~delay:1_000.0 (fun () ->
          Stack.crash (Replica.stack replicas.(2))));
@@ -209,10 +213,10 @@ let test_sim_restart_under_ordered_load () =
          Netsim.recover net 2;
          replicas.(2) <- start ~join_via:0 2));
   let gb i = Stack.generic_broadcast (Replica.stack replicas.(i)) in
+  let fast () = Gc_gbcast.Generic_broadcast.fast_delivered_count (gb 2) in
   let fast_before = ref 0 in
   ignore
-    (Engine.schedule engine ~delay:5_900.0 (fun () ->
-         fast_before := Gc_gbcast.Generic_broadcast.fast_delivered_count (gb 2)));
+    (Engine.schedule engine ~delay:5_900.0 (fun () -> fast_before := fast ()));
   let commuting = 200 in
   load ~at:6_000.0 ~ops:commuting ~every:5.0 via_2 incr_hits;
   Engine.run ~until:60_000.0 engine;
@@ -220,7 +224,7 @@ let test_sim_restart_under_ordered_load () =
   let stage i = Gc_gbcast.Generic_broadcast.stage (gb i) in
   Alcotest.(check int) "replica 2 in replica 0's stage" (stage 0) (stage 2);
   Alcotest.(check int) "commuting ops through replica 2 fast" commuting
-    (Gc_gbcast.Generic_broadcast.fast_delivered_count (gb 2) - !fast_before);
+    (fast () - !fast_before);
   let dump i = Kv.dump (Replica.kv replicas.(i)) in
   Alcotest.(check string) "replica 2 matches replica 0" (dump 0) (dump 2)
 
