@@ -3,11 +3,13 @@
 # TCP on 127.0.0.1, drive concurrent client operations against every
 # replica, scrape the live Stats endpoint from each replica mid-load
 # (gcs_top --once --assert-live), and assert all three report the same
-# total-order digest.  Then the crash-recovery gate: kill -9 one replica,
-# write more through the survivors, boot it back on the same --data-dir
-# and assert it recovers via log replay plus the sponsor's state image
-# and reconverges, that commuting ops through it take the fast path, and
-# that no frame was dropped for exceeding the output cap.  Each server
+# total-order digest.  Then the crash-recovery gate, run twice: kill -9
+# one replica, write more through the survivors, boot it back on the same
+# --data-dir (once before monitoring excludes it, once after, through a
+# fresh join, both with load running through node 0) and assert it
+# recovers via log replay plus the sponsor's state image and reconverges,
+# and that commuting ops through it take the fast path.  Finally no frame
+# may have been dropped for exceeding the output cap.  Each server
 # also appends a telemetry JSONL time-series into $logdir, checked for
 # well-formedness at the end.
 #
@@ -116,56 +118,6 @@ done
 [ "${digests[0]}" = "${digests[1]}" ] || fail "order digests diverge (0 vs 1)"
 [ "${digests[0]}" = "${digests[2]}" ] || fail "order digests diverge (0 vs 2)"
 
-# Crash recovery: kill -9 a replica, keep writing through the survivors,
-# then boot it back on the same --data-dir while ordered load keeps running.
-# It must replay its own durable log, install the sponsor's state image,
-# reconverge on the same digest, and keep the commuting fast path.
-echo "--- crash recovery phase: kill -9 node 2 ---"
-kill -9 "${PIDS[2]}" 2>/dev/null || fail "could not kill node 2"
-wait "${PIDS[2]}" 2>/dev/null || true
-
-# Ordered ops only: the fast path waits for every member's ack, so
-# commuting ops would stall until monitoring excludes node 2, and node 2
-# must come back while it is still in the view.
-"$CLIENT" load --server "${CPORTS[0]}" --ops 300 --conflicting 100 \
-  --timeout 20000 >"$LOGDIR/load-postkill.out" 2>&1 \
-  || fail "load via survivors after kill -9: $(cat "$LOGDIR/load-postkill.out")"
-"$CLIENT" put --server "${CPORTS[1]}" phase recovery --timeout 10000 >/dev/null \
-  || fail "put via survivor after kill -9"
-
-# Keep ordered load running through node 0 until node 2 is back: the
-# members keep sending to node 2, so it receives ops that the sponsor's
-# image will cover.  Ordered only, for the reason above: a commuting op
-# in flight here would wait for node 2's ack until the next ordered op,
-# which a closed-loop client never sends.
-(
-  while [ ! -e "$LOGDIR/rejoined" ]; do
-    "$CLIENT" load --server "${CPORTS[0]}" --ops 100 --conflicting 100 \
-      --timeout 20000 || exit 1
-  done
-) >"$LOGDIR/load-rejoin.out" 2>&1 &
-REJOIN_LOAD=$!
-
-"$SERVER" --id 2 --peers "$PEERS" --client-port "${CPORTS[2]}" \
-  --data-dir "$LOGDIR/data-2" --join-via 0 \
-  --telemetry-interval 250 --telemetry-file "$LOGDIR/telemetry-2-restarted.jsonl" \
-  >"$LOGDIR/server-2-restarted.log" 2>&1 &
-PIDS[2]=$!
-
-ok=""
-for _ in $(seq 1 30); do
-  sleep 0.5
-  if v=$("$CLIENT" get --server "${CPORTS[2]}" phase --timeout 5000 2>/dev/null) \
-      && [ "$v" = "recovery" ]; then
-    ok=1
-    break
-  fi
-done
-[ -n "$ok" ] || fail "restarted node 2 did not recover the missed writes"
-touch "$LOGDIR/rejoined"
-wait "$REJOIN_LOAD" \
-  || fail "load via node 0 across the restart: $(cat "$LOGDIR/load-rejoin.out")"
-
 # Sum one Prometheus counter from a replica's stats endpoint.
 counter() {
   local prom
@@ -174,37 +126,122 @@ counter() {
     | awk -v m="$2" '$1 ~ "^" m "(\\{|$)" { s += int($2) } END { print s + 0 }'
 }
 
-# The sponsor must have served the rejoin with its state image.
-fulls=$(counter "${CPORTS[0]}" gcs_server_full_transfers) || fail "stats via node 0"
-[ -n "$fulls" ] && [ "$fulls" -ge 1 ] \
-  || fail "sponsor served no state transfer (full_transfers=${fulls:-0})"
+# Loop `gcs_client load` through node 0 until $LOGDIR/$2 exists; $1 is the
+# --conflicting percentage.  Starts in the background, sets LOOP_PID.
+load_until() {
+  (
+    while [ ! -e "$LOGDIR/$2" ]; do
+      "$CLIENT" load --server "${CPORTS[0]}" --ops 100 --conflicting "$1" \
+        --timeout 20000 || exit 1
+    done
+  ) >"$LOGDIR/load-until-$2.out" 2>&1 &
+  LOOP_PID=$!
+}
+
+# Boot node 2 again on its --data-dir, joining via node 0; $1 names the
+# telemetry file.  Then wait until node 2 reads key `phase` as $2.
+restart_node2() {
+  "$SERVER" --id 2 --peers "$PEERS" --client-port "${CPORTS[2]}" \
+    --data-dir "$LOGDIR/data-2" --join-via 0 \
+    --telemetry-interval 250 --telemetry-file "$LOGDIR/telemetry-2-$1.jsonl" \
+    >"$LOGDIR/server-2-$1.log" 2>&1 &
+  PIDS[2]=$!
+  local v
+  for _ in $(seq 1 30); do
+    sleep 0.5
+    if v=$("$CLIENT" get --server "${CPORTS[2]}" phase --timeout 5000 2>/dev/null) \
+        && [ "$v" = "$2" ]; then
+      return 0
+    fi
+  done
+  return 1
+}
 
 # Commuting ops through the reborn replica must take the fast path: a
 # rejoined replica that kept ordered ops the sponsor's image covers would
 # freeze on every commuting op, and no member would deliver fast again.
-fast0=$(counter "${CPORTS[2]}" gcs_gbcast_fast_deliveries) || fail "stats via node 2"
-"$CLIENT" load --server "${CPORTS[2]}" --ops 200 --conflicting 0 \
-  --timeout 20000 >"$LOGDIR/load-commute.out" 2>&1 \
-  || fail "commuting load via node 2: $(cat "$LOGDIR/load-commute.out")"
-fast1=$(counter "${CPORTS[2]}" gcs_gbcast_fast_deliveries) || fail "stats via node 2"
-echo "node 2 fast deliveries under commuting load: $fast0 -> $fast1"
-[ "$fast1" -gt "$fast0" ] || fail "node 2 lost the fast path after rejoining"
+fast_path_gate() {
+  local fast0 fast1
+  fast0=$(counter "${CPORTS[2]}" gcs_gbcast_fast_deliveries) || fail "stats via node 2"
+  "$CLIENT" load --server "${CPORTS[2]}" --ops 200 --conflicting 0 \
+    --timeout 20000 >"$LOGDIR/load-commute-$1.out" 2>&1 \
+    || fail "commuting load via node 2 ($1): $(cat "$LOGDIR/load-commute-$1.out")"
+  fast1=$(counter "${CPORTS[2]}" gcs_gbcast_fast_deliveries) || fail "stats via node 2"
+  echo "node 2 fast deliveries under commuting load ($1): $fast0 -> $fast1"
+  [ "$fast1" -gt "$fast0" ] || fail "node 2 lost the fast path after rejoining ($1)"
+}
 
-# A post-recovery write through the reborn replica, then the whole dump
-# line again: order chain, state digest, ordered and commuting counts.
-# The reborn replica took its applied-set and order chain from the
-# sponsor's image, so all four must match.
-"$CLIENT" incr --server "${CPORTS[2]}" hits 7 --timeout 10000 >/dev/null \
-  || fail "incr via restarted node 2"
-sleep 2
-dumps=()
-for i in 0 1 2; do
-  d=$("$CLIENT" dump --server "${CPORTS[$i]}" --timeout 10000) || fail "post-recovery dump via node $i"
-  echo "replica $i (post-recovery): $d"
-  dumps+=("$d")
-done
-[ "${dumps[0]}" = "${dumps[1]}" ] || fail "post-recovery dumps diverge (0 vs 1)"
-[ "${dumps[0]}" = "${dumps[2]}" ] || fail "post-recovery dumps diverge (0 vs 2)"
+# A write through the reborn replica, then the whole dump line on every
+# replica: order chain, state digest, ordered and commuting counts.  The
+# reborn replica took its applied-set and order chain from the sponsor's
+# image, so all four must match.
+dumps_agree() {
+  "$CLIENT" incr --server "${CPORTS[2]}" hits 7 --timeout 10000 >/dev/null \
+    || fail "incr via restarted node 2 ($1)"
+  sleep 2
+  local dumps=() d
+  for i in 0 1 2; do
+    d=$("$CLIENT" dump --server "${CPORTS[$i]}" --timeout 10000) || fail "$1 dump via node $i"
+    echo "replica $i ($1): $d"
+    dumps+=("$d")
+  done
+  [ "${dumps[0]}" = "${dumps[1]}" ] || fail "$1 dumps diverge (0 vs 1)"
+  [ "${dumps[0]}" = "${dumps[2]}" ] || fail "$1 dumps diverge (0 vs 2)"
+}
+
+# Crash recovery, restart before exclusion: kill -9 a replica and boot
+# it back on the same --data-dir while ordered load keeps running through
+# node 0.  It must replay its own durable log, install the sponsor's state
+# image, reconverge on the same digest, and keep the commuting fast path.
+# Ordered ops need no ack from node 2, so nothing stalls, monitoring has
+# not yet excluded it, and the members keep sending it ops that the
+# sponsor's image will cover.  Ordered only: a commuting op in flight here
+# would wait for node 2's ack until the next ordered op, which a
+# closed-loop client never sends (ROADMAP item 1).
+echo "--- crash recovery phase: kill -9 node 2, restart before exclusion ---"
+kill -9 "${PIDS[2]}" 2>/dev/null || fail "could not kill node 2"
+wait "${PIDS[2]}" 2>/dev/null || true
+"$CLIENT" put --server "${CPORTS[1]}" phase resync --timeout 10000 >/dev/null \
+  || fail "put via survivor after kill -9"
+load_until 100 resynced
+restart_node2 resynced resync || fail "node 2 did not recover from its restart before exclusion"
+touch "$LOGDIR/resynced"
+wait "$LOOP_PID" \
+  || fail "ordered load via node 0 across the restart: $(cat "$LOGDIR/load-until-resynced.out")"
+
+# The sponsor must have served the rejoin with its state image.
+fulls=$(counter "${CPORTS[0]}" gcs_server_full_transfers) || fail "stats via node 0"
+[ "$fulls" -ge 1 ] || fail "sponsor served no state transfer (full_transfers=$fulls)"
+
+fast_path_gate resync
+dumps_agree post-resync
+echo "restart before exclusion OK: node 2 reconverged and kept the fast path"
+
+# Crash recovery through a fresh join: kill -9 node 2 again and keep a
+# mixed load running through the survivors.  Its commuting ops stall
+# until monitoring excludes node 2, so node 2 comes back through a fresh
+# join, with mixed load still running through node 0.
+echo "--- crash recovery phase: kill -9 node 2, rejoin after exclusion ---"
+kill -9 "${PIDS[2]}" 2>/dev/null || fail "could not kill node 2 again"
+wait "${PIDS[2]}" 2>/dev/null || true
+
+"$CLIENT" load --server "${CPORTS[0]}" --ops 300 --conflicting 30 \
+  --timeout 20000 >"$LOGDIR/load-postkill.out" 2>&1 \
+  || fail "load via survivors after kill -9: $(cat "$LOGDIR/load-postkill.out")"
+"$CLIENT" put --server "${CPORTS[1]}" phase recovery --timeout 10000 >/dev/null \
+  || fail "put via survivor after kill -9"
+
+load_until 30 rejoined
+restart_node2 restarted recovery || fail "restarted node 2 did not recover the missed writes"
+touch "$LOGDIR/rejoined"
+wait "$LOOP_PID" \
+  || fail "mixed load via node 0 across the restart: $(cat "$LOGDIR/load-until-rejoined.out")"
+
+fulls=$(counter "${CPORTS[0]}" gcs_server_full_transfers) || fail "stats via node 0"
+[ "$fulls" -ge 2 ] || fail "sponsor served no second state transfer (full_transfers=$fulls)"
+
+fast_path_gate rejoin
+dumps_agree post-recovery
 echo "crash recovery OK: node 2 rebooted from its log and reconverged (full transfers: $fulls)"
 
 # No replica may have dropped a frame longer than the output cap: such a
