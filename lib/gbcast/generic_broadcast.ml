@@ -9,7 +9,8 @@ module Sorted = Gc_sim.Sorted
 type msg = { origin : int; gseq : int; body : Gc_net.Payload.t }
 
 let msg_id m = (m.origin, m.gseq)
-let compare_msg a b = compare (msg_id a) (msg_id b)
+let compare_id (a : int * int) b = compare a b
+let compare_msg a b = compare_id (msg_id a) (msg_id b)
 
 type Gc_net.Payload.t +=
   | Gb_fast_batch of msg list
@@ -206,6 +207,21 @@ let track t m =
 let untrack t id =
   Hashtbl.remove t.tracked id;
   Conflict_index.remove t.index id
+
+(* Untrack every delivered entry, and apply [survivor] to the others.
+   Removals commute in the index; the ids are sorted only because an
+   unsorted fold may not feed protocol state. *)
+let untrack_delivered t survivor =
+  Hashtbl.fold
+    (fun id e gone ->
+      if Delivered.mem t.delivered id then id :: gone
+      else begin
+        survivor e;
+        gone
+      end)
+    t.tracked []
+  |> List.sort compare_id
+  |> List.iter (untrack t)
 
 (* Write-ahead delivery log: appended after dedup accepts the id, before
    subscribers run.  [ordered] records the message's conflict class so
@@ -486,10 +502,7 @@ let apply_cut t ~stage ~first ~rest =
     Hashtbl.filter_map_inplace
       (fun (s, _) members -> if s <= stage then None else Some members)
       t.acks;
-    Sorted.iter
-      (fun id e ->
-        if Delivered.mem t.delivered id then untrack t id else e.acked <- false)
-      t.tracked;
+    untrack_delivered t (fun e -> e.acked <- false);
     t.stage <- stage + 1;
     t.frozen <- false;
     if Process.traced t.proc then
@@ -628,9 +641,7 @@ let bootstrap t ~stage ~delivered =
      delivered at the snapshot source: purge them, or they would stay in
      the conflict index forever and freeze the fast path on every message
      they conflict with. *)
-  Sorted.iter
-    (fun id _ -> if Delivered.mem t.delivered id then untrack t id)
-    t.tracked;
+  untrack_delivered t ignore;
   note_occupancy t;
   (* Own submissions the transferred set covers are never delivered here:
      their stamps go with them. *)
