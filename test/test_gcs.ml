@@ -294,13 +294,15 @@ let test_fast_path_after_rejoin () =
   let gb i = Stack.generic_broadcast stacks.(i) in
   let at time f = ignore (Engine.schedule engine ~delay:time f) in
   at 500.0 (fun () -> Stack.join stacks.(3) ~via:0);
-  (* Mixed load across the join: every third op is ordered. *)
+  (* Mixed load across the join: every third op is ordered, and the
+     founders take turns sending three ops each, so each sends both. *)
   for k = 0 to 600 do
+    let sender = stacks.(k / 3 mod 3) in
     at
       (300.0 +. float_of_int (2 * k))
       (fun () ->
-        if k mod 3 = 0 then Stack.abcast stacks.(k mod 3) (Op k)
-        else Stack.rbcast stacks.(k mod 3) (Op k))
+        if k mod 3 = 0 then Stack.abcast sender (Op k)
+        else Stack.rbcast sender (Op k))
   done;
   at 3000.0 (fun () -> Stack.abcast stacks.(1) (Op 1000));
   Engine.run ~until:4000.0 engine;
