@@ -456,6 +456,94 @@ let test_retired_discriminators () =
   retired "gb" 1;
   retired "ab" 0
 
+(* ---------- golden wire bytes ----------
+
+   The exact encoding of one sample per constructor of every registered
+   codec family, committed in [data/wire_golden.txt]: a change to the
+   codec's dispatch or to a [Wire] helper that moves a single byte fails
+   here.  The public constructors are built directly; the module-private
+   ones are every distinct payload the captured workloads above put on
+   the wire, so each constructor is covered in every nesting they
+   produce.  Each line is the printed form, a tab, and the hex of the
+   encoding.
+
+   Regenerate (only when a wire change is intended and reviewed) with:
+
+     GCS_UPDATE_PINS=1 dune runtest
+
+   which writes the file into the build tree's [test/data]. *)
+
+let golden_file = "data/wire_golden.txt"
+
+let golden_public_samples () =
+  let module D = Gc_kernel.Delivered_set in
+  let ab = D.create () and gb = D.create () in
+  List.iter (fun id -> ignore (D.add ab id)) [ (0, 0); (0, 1); (0, 5); (2, 3) ];
+  ignore (D.add gb (1, 0));
+  [
+    Proto.Cl_put { rid = 1; key = "k"; value = "v" };
+    Proto.Cl_incr { rid = 2; key = "hits"; delta = -5 };
+    Proto.Cl_get { rid = 3; key = "k" };
+    Proto.Cl_dump { rid = 4 };
+    Proto.Cl_reply { rid = 5; ok = true; body = "ok" };
+    Proto.Sv_op { origin = 1; opid = 42; op = Proto.Put { key = "k"; value = "v" } };
+    Proto.Sv_op { origin = 2; opid = 300; op = Proto.Incr { key = "n"; delta = 7 } };
+    Proto.Cl_stats { rid = 6; format = Proto.Stats_json };
+    Proto.Cl_stats { rid = 7; format = Proto.Stats_prometheus };
+    Proto.Cl_health { rid = 8 };
+    Proto.Sv_state { blob = "\x00blob\xff" };
+    Ru.Datagram { src = 3; inner = Proto.Cl_dump { rid = 9 } };
+    Stack.Gcs_app { klass = Conflict.Commuting; body = Wop { klass = 0; k = 1 } };
+    Stack.Gcs_app { klass = Conflict.Ordered; body = Wop { klass = 1; k = 2 } };
+    Stack.Gcs_snapshot
+      { next_instance = 4; ab_delivered = ab; gb_stage = 2; gb_delivered = gb;
+        app = Some (Proto.Sv_state { blob = "s" }) };
+  ]
+
+let golden_lines () =
+  List.map
+    (fun p ->
+      let printed = Payload.to_string p in
+      match Payload.encode p with
+      | Ok bytes ->
+          let hex =
+            String.concat ""
+              (List.map
+                 (fun c -> Printf.sprintf "%02x" (Char.code c))
+                 (List.of_seq (String.to_seq bytes)))
+          in
+          printed ^ "\t" ^ hex
+      | Error e ->
+          Alcotest.failf "%s encode: %s" printed
+            (Payload.codec_error_to_string e))
+    (golden_public_samples () @ capture_hot_path_payloads ())
+
+let test_golden_wire_bytes () =
+  let lines = golden_lines () in
+  if Sys.getenv_opt "GCS_UPDATE_PINS" <> None then begin
+    let oc = open_out golden_file in
+    List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+    close_out oc;
+    Printf.printf "wrote %d golden encodings to %s\n" (List.length lines)
+      golden_file
+  end
+  else begin
+    let ic = open_in golden_file in
+    let rec read acc =
+      match input_line ic with
+      | line -> read (line :: acc)
+      | exception End_of_file -> List.rev acc
+    in
+    let expected = read [] in
+    close_in ic;
+    check_int "golden sample count" (List.length expected) (List.length lines);
+    List.iter2
+      (fun want got ->
+        if want <> got then
+          Alcotest.failf "wire bytes changed: expected %S, got %S" want got)
+      expected lines
+  end
+
 (* ---------- framing ---------- *)
 
 let frame_of p =
@@ -578,6 +666,7 @@ let suite =
           test_fast_path_wire_length;
         Alcotest.test_case "retired discriminators are malformed" `Quick
           test_retired_discriminators;
+        Alcotest.test_case "golden wire bytes" `Quick test_golden_wire_bytes;
         Alcotest.test_case "frame round-trip" `Quick test_frame_roundtrip;
         Alcotest.test_case "frame oversized both ways" `Quick
           test_frame_oversized;
