@@ -102,6 +102,9 @@ type t = {
          latency metric's stamp never leaves this process *)
   mutable subscribers : (origin:int -> Gc_net.Payload.t -> unit) list;
   mutable n_delivered : int;
+  c_submitted : Gc_obs.Metrics.counter;
+  c_delivered : Gc_obs.Metrics.counter;
+  g_pending : Gc_obs.Metrics.gauge;
 }
 
 let consensus_of t =
@@ -118,7 +121,7 @@ let current_batch t =
   List.rev (Pending.fold (fun _ m acc -> m :: acc) t.pending [])
 
 let note_pending t =
-  Process.set_gauge t.proc "abcast.pending_size" (float_of_int t.pending_n)
+  Gc_obs.Metrics.set t.g_pending (float_of_int t.pending_n)
 
 let pending_add t id m =
   t.pending <- Pending.add id m t.pending;
@@ -163,7 +166,7 @@ let apply_decisions t =
             if Delivered.add t.delivered id then begin
               pending_remove t id;
               t.n_delivered <- t.n_delivered + 1;
-              Process.incr t.proc "abcast.delivered";
+              Gc_obs.Metrics.bump t.c_delivered;
               if m.origin = Process.id t.proc then
                 observe_latency t m.mseq;
               if Process.traced t.proc then
@@ -177,7 +180,7 @@ let apply_decisions t =
                       ("inst", string_of_int (t.next_to_apply - 1));
                     ]
                   ();
-              List.iter (fun f -> f ~origin:m.origin m.body) (List.rev t.subscribers)
+              List.iter (fun f -> f ~origin:m.origin m.body) t.subscribers
             end)
           batch;
         loop ()
@@ -204,6 +207,7 @@ let on_solicit t ~inst =
 let create proc ~rc ~rb ~fd ?(suspect_timeout = 200.0) ?(adaptive = false)
     ?(batch_max = 1) ?(batch_delay = 1.0) ?(epoch = 0) ~members () =
   if batch_max < 1 then invalid_arg "Atomic_broadcast.create: batch_max < 1";
+  let metrics = Process.metrics proc in
   (* Lazy only to tie the knot: the batcher's emit reads the live member
      list, and it cannot run before [create] returns. *)
   let rec t =
@@ -231,6 +235,9 @@ let create proc ~rc ~rb ~fd ?(suspect_timeout = 200.0) ?(adaptive = false)
         sent_at = Hashtbl.create 64;
         subscribers = [];
         n_delivered = 0;
+        c_submitted = Gc_obs.Metrics.counter_handle metrics "abcast.submitted";
+        c_delivered = Gc_obs.Metrics.counter_handle metrics "abcast.delivered";
+        g_pending = Gc_obs.Metrics.gauge_handle metrics "abcast.pending_size";
       }
   in
   let t = Lazy.force t in
@@ -270,7 +277,7 @@ let abcast t body =
     let m = { origin = Process.id t.proc; mseq = t.next_mseq; body } in
     Hashtbl.replace t.sent_at m.mseq (Process.now t.proc);
     t.next_mseq <- t.next_mseq + 1;
-    Process.incr t.proc "abcast.submitted";
+    Gc_obs.Metrics.bump t.c_submitted;
     if Process.traced t.proc then
       Process.event t.proc ~component:"abcast" ~kind:Gc_obs.Event.Send
         ~msg:(Printf.sprintf "ab:%d.%d" m.origin m.mseq)
@@ -279,7 +286,8 @@ let abcast t body =
   end
 
 let flush t = Batcher.flush t.submit_batch
-let on_deliver t f = t.subscribers <- f :: t.subscribers
+(* Kept in dispatch order: subscribers run in the order they subscribed. *)
+let on_deliver t f = t.subscribers <- t.subscribers @ [ f ]
 let set_members t members = t.member_list <- members
 let members t = t.member_list
 

@@ -62,10 +62,14 @@ let () =
     { origin; gseq; body }
   in
   let write_ack w ((o, s), stage) =
-    W.triple w W.varint W.varint W.varint (o, s, stage)
+    W.varint w o;
+    W.varint w s;
+    W.varint w stage
   in
   let read_ack r =
-    let o, s, stage = W.read_triple r W.read_varint W.read_varint W.read_varint in
+    let o = W.read_varint r in
+    let s = W.read_varint r in
+    let stage = W.read_varint r in
     ((o, s), stage)
   in
   Gc_net.Payload.register_codec ~tag:"gb"
@@ -160,6 +164,11 @@ type t = {
   mutable n_delivered : int;
   mutable n_fast : int;
   mutable froze_at : float; (* freeze time of the current stage, for check_ms *)
+  c_submitted : Gc_obs.Metrics.counter;
+  c_delivered : Gc_obs.Metrics.counter;
+  c_fast : Gc_obs.Metrics.counter;
+  c_cut : Gc_obs.Metrics.counter;
+  g_occupancy : Gc_obs.Metrics.gauge;
 }
 
 (* Fast-path acknowledgement quorum A. *)
@@ -190,7 +199,7 @@ let send_all t payload =
     t.member_list
 
 let note_occupancy t =
-  Process.set_gauge t.proc "gbcast.conflict_class_occupancy"
+  Gc_obs.Metrics.set t.g_occupancy
     (float_of_int (Conflict_index.occupancy t.index))
 
 (* Enter a newly rdelivered message in the stage table, unless it is
@@ -261,7 +270,7 @@ let deliver t m =
     | _ -> ());
     log_delivery t m;
     t.n_delivered <- t.n_delivered + 1;
-    Process.incr t.proc "gbcast.delivered";
+    Gc_obs.Metrics.bump t.c_delivered;
     if m.origin = Process.id t.proc then observe_latency t m.gseq;
     if Process.traced t.proc then
       (* The conflict class rides along so the auditor can tell which
@@ -279,7 +288,7 @@ let deliver t m =
             );
           ]
         ();
-    List.iter (fun f -> f ~origin:m.origin m.body) (List.rev t.subscribers)
+    List.iter (fun f -> f ~origin:m.origin m.body) t.subscribers
   end
 
 let tracked_msgs t keep =
@@ -458,7 +467,7 @@ and try_fast_deliver t id =
     when (not (Delivered.mem t.delivered id))
          && List.length (ackers t id t.stage) >= ack_quorum t ->
       t.n_fast <- t.n_fast + 1;
-      Process.incr t.proc "gbcast.fast_deliveries";
+      Gc_obs.Metrics.bump t.c_fast;
       if Process.traced t.proc then
         Process.event t.proc ~component:"gbcast"
           ~kind:(Gc_obs.Event.Custom "fast_deliver")
@@ -490,7 +499,7 @@ let apply_cut t ~stage ~first ~rest =
         (Process.now t.proc -. t.froze_at);
     let via_cut m =
       if not (Delivered.mem t.delivered (msg_id m)) then
-        Process.incr t.proc "gbcast.cut_deliveries";
+        Gc_obs.Metrics.bump t.c_cut;
       deliver t m
     in
     List.iter via_cut first;
@@ -523,6 +532,7 @@ let apply_cut t ~stage ~first ~rest =
 let create proc ~rc ~rb ~ab ~conflict ?(ack_mode = Two_thirds)
     ?(batch_max = 1) ?(batch_delay = 1.0) ?storage ?(epoch = 0) ~members () =
   if batch_max < 1 then invalid_arg "Generic_broadcast.create: batch_max < 1";
+  let metrics = Process.metrics proc in
   (* Lazy only to tie the knot: the batchers' emits read the live member
      list, and they cannot run before [create] returns. *)
   let rec t =
@@ -566,6 +576,12 @@ let create proc ~rc ~rb ~ab ~conflict ?(ack_mode = Two_thirds)
         n_delivered = 0;
         n_fast = 0;
         froze_at = 0.0;
+        c_submitted = Gc_obs.Metrics.counter_handle metrics "gbcast.submitted";
+        c_delivered = Gc_obs.Metrics.counter_handle metrics "gbcast.delivered";
+        c_fast = Gc_obs.Metrics.counter_handle metrics "gbcast.fast_deliveries";
+        c_cut = Gc_obs.Metrics.counter_handle metrics "gbcast.cut_deliveries";
+        g_occupancy =
+          Gc_obs.Metrics.gauge_handle metrics "gbcast.conflict_class_occupancy";
       }
   in
   let t = Lazy.force t in
@@ -612,7 +628,7 @@ let gbcast t body =
     let m = { origin = Process.id t.proc; gseq = t.next_gseq; body } in
     Hashtbl.replace t.sent_at m.gseq (Process.now t.proc);
     t.next_gseq <- t.next_gseq + 1;
-    Process.incr t.proc "gbcast.submitted";
+    Gc_obs.Metrics.bump t.c_submitted;
     if Process.traced t.proc then
       Process.event t.proc ~component:"gbcast" ~kind:Gc_obs.Event.Send
         ~msg:(Printf.sprintf "gb:%d.%d" m.origin m.gseq)
@@ -624,7 +640,8 @@ let flush t =
   Batcher.flush t.submit_batch;
   flush_acks t
 
-let on_deliver t f = t.subscribers <- f :: t.subscribers
+(* Kept in dispatch order: subscribers run in the order they subscribed. *)
+let on_deliver t f = t.subscribers <- t.subscribers @ [ f ]
 let set_members t members = t.member_list <- members
 let members t = t.member_list
 let delivered_count t = t.n_delivered

@@ -10,6 +10,14 @@ type t = {
   mutable crash_hooks : (unit -> unit) list;
 }
 
+(* Offer a payload to each subscriber in turn (a recursion, not a
+   [List.iter] closure: this runs for every payload a node receives). *)
+let rec offer ~src payload = function
+  | [] -> ()
+  | f :: rest ->
+      f ~src payload;
+      offer ~src payload rest
+
 let create ?metrics runtime ~id =
   let metrics =
     match metrics with Some m -> m | None -> Gc_obs.Metrics.create ()
@@ -26,10 +34,7 @@ let create ?metrics runtime ~id =
     }
   in
   runtime.Runtime.register ~node:id (fun ~src payload ->
-      if t.alive then
-        (* Subscribers are kept newest-first; dispatch oldest-first so layers
-           receive messages in the order they were stacked. *)
-        List.iter (fun f -> f ~src payload) (List.rev t.subscribers));
+      if t.alive then offer ~src payload t.subscribers);
   t
 
 let id t = t.id
@@ -44,7 +49,9 @@ let rand_int t bound = t.rng.Runtime.rand_int bound
 let send t ~dst payload =
   if t.alive then t.runtime.Runtime.send ~src:t.id ~dst payload
 
-let on_receive t f = t.subscribers <- f :: t.subscribers
+(* Kept in dispatch order, oldest first, so layers receive messages in the
+   order they were stacked. *)
+let on_receive t f = t.subscribers <- t.subscribers @ [ f ]
 
 let timer t ~delay f =
   t.runtime.Runtime.schedule ~delay (fun () -> if t.alive then f ())

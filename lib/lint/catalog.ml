@@ -279,8 +279,10 @@ let metric_recorders =
   [
     ("Gc_obs.Metrics.incr", MCounter);
     ("Gc_obs.Metrics.counter", MCounter);
+    ("Gc_obs.Metrics.counter_handle", MCounter);
     ("Gc_obs.Metrics.set_gauge", MGauge);
     ("Gc_obs.Metrics.gauge", MGauge);
+    ("Gc_obs.Metrics.gauge_handle", MGauge);
     ("Gc_obs.Metrics.observe", MHist);
     ("Gc_obs.Metrics.quantile", MHist);
     ("Gc_obs.Metrics.hist_count", MHist);

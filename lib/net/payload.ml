@@ -33,30 +33,50 @@ let malformed why = raise (Codec_reject (Malformed why))
 let encoders : (string * (Wire.writer -> t -> bool)) list ref = ref []
 let decoders : (string, Wire.reader -> t) Hashtbl.t = Hashtbl.create 32
 
+(* Dispatch memo: extension-constructor id -> the family that encoded it.
+   Every family claims or declines by constructor alone, so the first
+   encode of a constructor searches the families and later ones go
+   straight to the one that claimed it.  A new family goes to the front of
+   the search, so registering one clears the memo. *)
+let claimed : (int, string * (Wire.writer -> t -> bool)) Hashtbl.t =
+  Hashtbl.create 64
+
+let constructor_id p = Obj.Extension_constructor.(id (of_val p))
+
+let rec search w p = function
+  | [] -> raise (Codec_reject (Unencodable (to_string p)))
+  | ((tag, enc) as family) :: rest ->
+      (* Speculatively write the tag; roll back if the family declines. *)
+      let mark = Buffer.length w in
+      Wire.str w tag;
+      if enc w p then Hashtbl.replace claimed (constructor_id p) family
+      else begin
+        Buffer.truncate w mark;
+        search w p rest
+      end
+
 let encode_value w p =
-  let rec go = function
-    | [] -> raise (Codec_reject (Unencodable (to_string p)))
-    | (tag, enc) :: rest ->
-        (* Speculatively write the tag; roll back if the family declines. *)
-        let mark = Buffer.length w in
-        Wire.str w tag;
-        if not (enc w p) then begin
-          Buffer.truncate w mark;
-          go rest
-        end
-  in
-  go !encoders
+  match Hashtbl.find claimed (constructor_id p) with
+  | tag, enc ->
+      let mark = Buffer.length w in
+      Wire.str w tag;
+      if not (enc w p) then begin
+        Buffer.truncate w mark;
+        search w p !encoders
+      end
+  | exception Not_found -> search w p !encoders
 
 let decode_value r =
   let tag = Wire.read_str r in
-  match Hashtbl.find_opt decoders tag with
-  | None -> raise (Codec_reject (Unknown_tag tag))
-  | Some dec -> dec r
+  match Hashtbl.find decoders tag with
+  | dec -> dec r
+  | exception Not_found -> raise (Codec_reject (Unknown_tag tag))
 
 let register_codec ~tag ~encode ~decode =
   if Hashtbl.mem decoders tag then
     invalid_arg (Printf.sprintf "Payload.register_codec: duplicate tag %S" tag);
   encoders := (tag, encode encode_value) :: !encoders;
+  Hashtbl.reset claimed;
   Hashtbl.replace decoders tag (fun r -> decode decode_value r)
 
 let encode_into w p =

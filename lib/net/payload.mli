@@ -46,7 +46,9 @@ val register_codec :
     [encode recurse w p] writes the body of [p] and returns [true] when [p]
     is one of the family's constructors ([false] leaves [w] untouched by the
     registry); [recurse] encodes a nested payload, raising internally if it
-    is unencodable.  [decode recurse r] parses a body back; it may raise
+    is unencodable.  A family must claim or decline by constructor alone:
+    the registry remembers which family claimed each constructor and sends
+    its later values straight there.  [decode recurse r] parses a body back; it may raise
     {!Wire.Short} or call {!malformed}.  Tags must be unique. *)
 
 val malformed : string -> 'a

@@ -2,32 +2,38 @@ type writer = Buffer.t
 
 let u8 w v = Buffer.add_char w (Char.chr (v land 0xff))
 
-(* Zigzag maps the signed range onto unsigned so small negatives stay
-   short; LEB128 then emits 7 bits per byte, low bits first. *)
-let varint w v =
-  let z = (v lsl 1) lxor (v asr (Sys.int_size - 1)) in
-  let rec go z =
-    if z land lnot 0x7f = 0 then u8 w z
-    else begin
-      u8 w (0x80 lor (z land 0x7f));
-      go (z lsr 7)
-    end
-  in
-  go z
+(* The helpers below are top-level recursions over their arguments, not
+   local closures: the codec runs them for every field of every frame, so
+   they allocate nothing beyond what they write or return. *)
 
-let f64 w v =
-  let bits = Int64.bits_of_float v in
-  for i = 0 to 7 do
-    u8 w (Int64.to_int (Int64.shift_right_logical bits (8 * i)))
-  done
+(* LEB128: 7 bits per byte, low bits first. *)
+let rec leb128 w z =
+  if z land lnot 0x7f = 0 then u8 w z
+  else begin
+    u8 w (0x80 lor (z land 0x7f));
+    leb128 w (z lsr 7)
+  end
+
+(* Zigzag maps the signed range onto unsigned so small negatives stay
+   short. *)
+let varint w v = leb128 w ((v lsl 1) lxor (v asr (Sys.int_size - 1)))
+
+(* Little-endian IEEE-754 bits. *)
+let f64 w v = Buffer.add_int64_le w (Int64.bits_of_float v)
 
 let str w s =
   varint w (String.length s);
   Buffer.add_string w s
 
+let rec items w item = function
+  | [] -> ()
+  | x :: rest ->
+      item w x;
+      items w item rest
+
 let list w item xs =
   varint w (List.length xs);
-  List.iter (item w) xs
+  items w item xs
 
 let option w item = function
   | None -> u8 w 0
@@ -38,11 +44,6 @@ let option w item = function
 let pair w fst_w snd_w (a, b) =
   fst_w w a;
   snd_w w b
-
-let triple w fst_w snd_w trd_w (a, b, c) =
-  fst_w w a;
-  snd_w w b;
-  trd_w w c
 
 type reader = { src : string; limit : int; mutable pos : int }
 
@@ -58,37 +59,39 @@ let read_u8 r =
   r.pos <- r.pos + 1;
   c
 
+let rec read_leb128 r shift acc =
+  if shift > Sys.int_size then raise Short;
+  let b = read_u8 r in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b land 0x80 = 0 then acc else read_leb128 r (shift + 7) acc
+
 let read_varint r =
-  let rec go shift acc =
-    if shift > Sys.int_size then raise Short;
-    let b = read_u8 r in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  let z = go 0 0 in
+  let z = read_leb128 r 0 0 in
   (z lsr 1) lxor (-(z land 1))
 
 let read_f64 r =
-  let bits = ref 0L in
-  for i = 0 to 7 do
-    bits :=
-      Int64.logor !bits (Int64.shift_left (Int64.of_int (read_u8 r)) (8 * i))
-  done;
-  Int64.float_of_bits !bits
+  if r.limit - r.pos < 8 then raise Short;
+  let bits = String.get_int64_le r.src r.pos in
+  r.pos <- r.pos + 8;
+  Int64.float_of_bits bits
 
+(* [n > limit - pos], not [pos + n > limit]: a hostile length near
+   [max_int] would overflow the sum and pass. *)
 let read_str r =
   let n = read_varint r in
-  if n < 0 || r.pos + n > r.limit then raise Short;
+  if n < 0 || n > r.limit - r.pos then raise Short;
   let s = String.sub r.src r.pos n in
   r.pos <- r.pos + n;
   s
 
+(* Explicit accumulation: items must be read front-to-back. *)
+let rec read_items r item k acc =
+  if k = 0 then List.rev acc else read_items r item (k - 1) (item r :: acc)
+
 let read_list r item =
   let n = read_varint r in
   if n < 0 then raise Short;
-  (* Explicit accumulation: items must be read front-to-back. *)
-  let rec go k acc = if k = 0 then List.rev acc else go (k - 1) (item r :: acc) in
-  go n []
+  read_items r item n []
 
 let read_option r item = match read_u8 r with 0 -> None | _ -> Some (item r)
 
@@ -96,12 +99,6 @@ let read_pair r fst_r snd_r =
   let a = fst_r r in
   let b = snd_r r in
   (a, b)
-
-let read_triple r fst_r snd_r trd_r =
-  let a = fst_r r in
-  let b = snd_r r in
-  let c = trd_r r in
-  (a, b, c)
 
 let remaining r = r.limit - r.pos
 

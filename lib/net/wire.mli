@@ -21,14 +21,6 @@ val list : writer -> (writer -> 'a -> unit) -> 'a list -> unit
 val option : writer -> (writer -> 'a -> unit) -> 'a option -> unit
 val pair : writer -> (writer -> 'a -> unit) -> (writer -> 'b -> unit) -> 'a * 'b -> unit
 
-val triple :
-  writer ->
-  (writer -> 'a -> unit) ->
-  (writer -> 'b -> unit) ->
-  (writer -> 'c -> unit) ->
-  'a * 'b * 'c ->
-  unit
-
 type reader
 
 exception Short
@@ -44,7 +36,6 @@ val read_str : reader -> string
 val read_list : reader -> (reader -> 'a) -> 'a list
 val read_option : reader -> (reader -> 'a) -> 'a option
 val read_pair : reader -> (reader -> 'a) -> (reader -> 'b) -> 'a * 'b
-val read_triple : reader -> (reader -> 'a) -> (reader -> 'b) -> (reader -> 'c) -> 'a * 'b * 'c
 
 val remaining : reader -> int
 (** Unread bytes left in the slice. *)

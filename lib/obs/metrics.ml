@@ -147,6 +147,37 @@ let names t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.entries []
   |> List.sort String.compare
 
+(* ---------- handles ----------
+
+   A handle names one entry and finds it on first use, exactly as [incr]
+   or [set_gauge] would (so the registry's contents never depend on
+   whether a site records through a handle), then keeps the cell: later
+   records skip the name lookup. *)
+
+type counter = { c_reg : t; c_name : string; mutable c_cell : int ref option }
+type gauge = { g_reg : t; g_name : string; mutable g_cell : float ref option }
+
+let counter_handle t name = { c_reg = t; c_name = name; c_cell = None }
+let gauge_handle t name = { g_reg = t; g_name = name; g_cell = None }
+
+let bump ?(by = 1) c =
+  match c.c_cell with
+  | Some r -> r := !r + by
+  | None ->
+      let r = counter_ref c.c_reg c.c_name in
+      c.c_cell <- Some r;
+      r := !r + by
+
+let set g v =
+  match g.g_cell with
+  | Some r -> r := v
+  | None ->
+      let r = gauge_ref g.g_reg g.g_name in
+      g.g_cell <- Some r;
+      r := v
+
+let get g = match g.g_cell with Some r -> !r | None -> gauge g.g_reg g.g_name
+
 (* ---------- frozen views ---------- *)
 
 type hist_view = {

@@ -32,6 +32,31 @@ val observe : t -> string -> float -> unit
 (** Record one histogram sample (unit: whatever the metric's name says,
     milliseconds for the built-in [*_ms] metrics). *)
 
+(** {1 Handles}
+
+    For hot paths: a handle is resolved once, from a literal name, and
+    recording through it skips the string lookup.  The entry is still
+    created on first record, not when the handle is made, so a registry
+    reads the same whichever way a site records into it. *)
+
+type counter
+type gauge
+
+val counter_handle : t -> string -> counter
+(** A handle on the counter [name]. *)
+
+val gauge_handle : t -> string -> gauge
+(** A handle on the gauge [name]. *)
+
+val bump : ?by:int -> counter -> unit
+(** {!incr} through a handle. *)
+
+val set : gauge -> float -> unit
+(** {!set_gauge} through a handle. *)
+
+val get : gauge -> float
+(** The gauge's reading, as {!val-gauge} returns it. *)
+
 (** {1 Reading} *)
 
 val counter : t -> string -> int

@@ -44,12 +44,14 @@ type t = {
   mutable next_bid : int;
   mutable subscribers : (origin:int -> Gc_net.Payload.t -> unit) list;
   mutable delivered : int;
+  delivered_count : Gc_obs.Metrics.counter;
+  broadcasts : Gc_obs.Metrics.counter;
 }
 
 let deliver t ~origin inner =
   t.delivered <- t.delivered + 1;
-  Process.incr t.proc "rbcast.delivered";
-  List.iter (fun f -> f ~origin inner) (List.rev t.subscribers)
+  Gc_obs.Metrics.bump t.delivered_count;
+  List.iter (fun f -> f ~origin inner) t.subscribers
 
 let handle t = function
   | Rb_msg { origin; bid; inner; dests } as msg ->
@@ -79,13 +81,17 @@ let create proc ?(epoch = 0) rc =
       next_bid = Delivered.first_seq ~epoch;
       subscribers = [];
       delivered = 0;
+      delivered_count =
+        Gc_obs.Metrics.counter_handle (Process.metrics proc) "rbcast.delivered";
+      broadcasts =
+        Gc_obs.Metrics.counter_handle (Process.metrics proc) "rbcast.broadcasts";
     }
   in
   Rc.on_deliver rc (fun ~src:_ payload -> handle t payload);
   t
 
 let broadcast t ~dests inner =
-  Process.incr t.proc "rbcast.broadcasts";
+  Gc_obs.Metrics.bump t.broadcasts;
   let origin = Process.id t.proc in
   let bid = t.next_bid in
   t.next_bid <- bid + 1;
@@ -99,5 +105,6 @@ let broadcast t ~dests inner =
      message into [handle], which relays and delivers exactly once. *)
   Rc.send t.rc ~dst:origin msg
 
-let on_deliver t f = t.subscribers <- f :: t.subscribers
+(* Kept in dispatch order: subscribers run in the order they subscribed. *)
+let on_deliver t f = t.subscribers <- t.subscribers @ [ f ]
 let delivered_count t = t.delivered

@@ -86,6 +86,9 @@ type t = {
   mutable subscribers : (src:int -> Gc_net.Payload.t -> unit) list;
   mutable on_stuck : (dst:int -> age:float -> unit) option;
   loopback : Gc_net.Payload.t Queue.t; (* self-sends awaiting their 0-delay hop *)
+  sends : Gc_obs.Metrics.counter;
+  window_occupancy : Gc_obs.Metrics.gauge;
+  window_peak : Gc_obs.Metrics.gauge;
 }
 
 (* Retransmission intervals back off per packet: rto, 2*rto, 4*rto, then
@@ -106,9 +109,9 @@ let retx_interval t p = t.rto *. float_of_int (1 lsl min p.tries backoff_cap)
 
 let note_window t (o : outgoing) =
   let len = float_of_int (Window.length o.window) in
-  Process.set_gauge t.proc "rchannel.window_occupancy" len;
-  if len > Gc_obs.Metrics.gauge (Process.metrics t.proc) "rchannel.window_peak"
-  then Process.set_gauge t.proc "rchannel.window_peak" len
+  Gc_obs.Metrics.set t.window_occupancy len;
+  if len > Gc_obs.Metrics.get t.window_peak then
+    Gc_obs.Metrics.set t.window_peak len
 
 let outgoing_for t dst =
   match Hashtbl.find_opt t.out dst with
@@ -134,7 +137,7 @@ let incoming_for t src =
       i
 
 let deliver t ~src inner =
-  List.iter (fun f -> f ~src inner) (List.rev t.subscribers)
+  List.iter (fun f -> f ~src inner) t.subscribers
 
 let handle_data t ~src ~gen ~seq ~inner =
   let i = incoming_for t src in
@@ -289,6 +292,7 @@ let retransmit t =
 
 let create proc ?(epoch = 0) ?(rto = 50.0) ?(stuck_after = 10_000.0)
     ?(max_burst = 64) () =
+  let metrics = Process.metrics proc in
   let t =
     {
       proc;
@@ -301,6 +305,10 @@ let create proc ?(epoch = 0) ?(rto = 50.0) ?(stuck_after = 10_000.0)
       subscribers = [];
       on_stuck = None;
       loopback = Queue.create ();
+      sends = Gc_obs.Metrics.counter_handle metrics "rchannel.sends";
+      window_occupancy =
+        Gc_obs.Metrics.gauge_handle metrics "rchannel.window_occupancy";
+      window_peak = Gc_obs.Metrics.gauge_handle metrics "rchannel.window_peak";
     }
   in
   (* Pre-register the headline counters so merged reports carry them even
@@ -318,7 +326,7 @@ let create proc ?(epoch = 0) ?(rto = 50.0) ?(stuck_after = 10_000.0)
 
 let send t ~dst payload =
   if Process.alive t.proc then begin
-    Process.incr t.proc "rchannel.sends";
+    Gc_obs.Metrics.bump t.sends;
     if dst = Process.id t.proc then begin
       (* Local loopback: deliver through the event queue so that a broadcast
          to a set including self behaves uniformly (no synchronous
@@ -368,7 +376,8 @@ let drain_loopback t =
   in
   go ()
 
-let on_deliver t f = t.subscribers <- f :: t.subscribers
+(* Kept in dispatch order: subscribers run in the order they subscribed. *)
+let on_deliver t f = t.subscribers <- t.subscribers @ [ f ]
 let set_on_stuck t f = t.on_stuck <- Some f
 
 let forget t dst =

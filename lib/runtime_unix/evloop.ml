@@ -12,11 +12,18 @@ type watcher = {
   mutable on_write : (unit -> unit) option;
 }
 
+(* The poll sets are cached: [reads] and [writes] are the watched fds with
+   a readable (writable) callback, in ascending fd order, and they are
+   rebuilt only when [stale] — set whenever a callback is added or removed,
+   not when one is replaced — so a steady-state tick allocates no lists. *)
 type t = {
   start : float;
   timers : timer_cell Heap.t;
   mutable timer_seq : int;
   watchers : (Unix.file_descr, watcher) Hashtbl.t;
+  mutable reads : Unix.file_descr list;
+  mutable writes : Unix.file_descr list;
+  mutable stale : bool;
   deferred : (unit -> unit) Queue.t; (* run before the loop next blocks *)
   mutable running : bool;
   metrics : Gc_obs.Metrics.t option;
@@ -49,6 +56,9 @@ let create ?metrics () =
         ();
     timer_seq = 0;
     watchers = Hashtbl.create 32;
+    reads = [];
+    writes = [];
+    stale = false;
     deferred = Queue.create ();
     running = false;
     metrics;
@@ -91,24 +101,53 @@ let prune t fd w =
 
 let set_read t fd cb =
   let w = watcher t fd in
+  if Option.is_some w.on_read <> Option.is_some cb then t.stale <- true;
   w.on_read <- cb;
   prune t fd w
 
 let set_write t fd cb =
   let w = watcher t fd in
+  if Option.is_some w.on_write <> Option.is_some cb then t.stale <- true;
   w.on_write <- cb;
   prune t fd w
 
-let forget t fd = Hashtbl.remove t.watchers fd
+let forget t fd =
+  if Hashtbl.mem t.watchers fd then begin
+    Hashtbl.remove t.watchers fd;
+    t.stale <- true
+  end
 
-(* Watched descriptors in ascending fd order.  [Unix.file_descr] is
+(* Rebuild the poll sets in ascending fd order.  [Unix.file_descr] is
    abstract, but on every Unix port it is the numeric descriptor, so
    polymorphic compare yields the OS ordering; sorting here makes the
    dispatch order of a wakeup a function of the fd set alone, not of
    Hashtbl bucket layout (which varies with insertion history and the
    hash seed). *)
+let refresh t =
+  if t.stale then begin
+    let collect pick =
+      List.sort compare
+        (Hashtbl.fold
+           (fun fd w acc -> if pick w then fd :: acc else acc)
+           t.watchers [])
+    in
+    t.reads <- collect (fun w -> w.on_read <> None);
+    t.writes <- collect (fun w -> w.on_write <> None);
+    t.stale <- false
+  end
+
 let watched_fds t =
-  List.sort compare (Hashtbl.fold (fun fd _ acc -> fd :: acc) t.watchers [])
+  refresh t;
+  let rec merge rs ws =
+    match (rs, ws) with
+    | [], l | l, [] -> l
+    | r :: rs', w :: ws' ->
+        let c = compare r w in
+        if c = 0 then r :: merge rs' ws'
+        else if c < 0 then r :: merge rs' ws
+        else w :: merge rs ws'
+  in
+  merge t.reads t.writes
 
 let fire_due t =
   let rec go () =
@@ -142,6 +181,26 @@ let next_deadline t =
   in
   go ()
 
+let in_fd_order = function ([] | [ _ ]) as l -> l | l -> List.sort compare l
+
+(* Look each callback up at dispatch time: an earlier callback in the
+   batch may close a sibling's descriptor and unregister it. *)
+let rec dispatch_reads t = function
+  | [] -> ()
+  | fd :: rest ->
+      (match Hashtbl.find t.watchers fd with
+      | { on_read = Some cb; _ } -> cb ()
+      | _ | (exception Not_found) -> ());
+      dispatch_reads t rest
+
+let rec dispatch_writes t = function
+  | [] -> ()
+  | fd :: rest ->
+      (match Hashtbl.find t.watchers fd with
+      | { on_write = Some cb; _ } -> cb ()
+      | _ | (exception Not_found) -> ());
+      dispatch_writes t rest
+
 let run_once t ~max_wait =
   let t0 = now t in
   run_deferred t;
@@ -153,49 +212,21 @@ let run_once t ~max_wait =
   in
   (* Sorted, so [select]'s ready lists — and therefore callback dispatch —
      come back in fd order on every platform, every run. *)
-  let watched =
-    List.filter_map
-      (fun fd ->
-        Option.map (fun w -> (fd, w)) (Hashtbl.find_opt t.watchers fd))
-      (watched_fds t)
-  in
-  let reads =
-    List.filter_map
-      (fun (fd, w) -> if w.on_read <> None then Some fd else None)
-      watched
-  and writes =
-    List.filter_map
-      (fun (fd, w) -> if w.on_write <> None then Some fd else None)
-      watched
-  in
+  refresh t;
   let ready_r, ready_w, _ =
-    if reads = [] && writes = [] then begin
+    if t.reads = [] && t.writes = [] then begin
       if wait > 0.0 then Unix.sleepf (wait /. 1000.0);
       ([], [], [])
     end
     else
-      try Unix.select reads writes [] (wait /. 1000.0)
+      try Unix.select t.reads t.writes [] (wait /. 1000.0)
       with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
   in
   let t_woke = now t in
   (* [select] makes no ordering promise on its ready lists (the OCaml
      runtime returns them reversed); sort so dispatch is in fd order. *)
-  let ready_r = List.sort compare ready_r
-  and ready_w = List.sort compare ready_w in
-  (* Look each callback up at dispatch time: an earlier callback in the
-     batch may close a sibling's descriptor and unregister it. *)
-  List.iter
-    (fun fd ->
-      match Hashtbl.find_opt t.watchers fd with
-      | Some { on_read = Some cb; _ } -> cb ()
-      | _ -> ())
-    ready_r;
-  List.iter
-    (fun fd ->
-      match Hashtbl.find_opt t.watchers fd with
-      | Some { on_write = Some cb; _ } -> cb ()
-      | _ -> ())
-    ready_w;
+  dispatch_reads t (in_fd_order ready_r);
+  dispatch_writes t (in_fd_order ready_w);
   fire_due t;
   match t.metrics with
   | None -> ()

@@ -9,10 +9,22 @@ type stats = {
   frames_out : int;
 }
 
+module Metrics = Gc_obs.Metrics
+
+(* The per-frame and per-write counters, resolved once per connection. *)
+type counters = {
+  c_frames_in : Metrics.counter;
+  c_frames_out : Metrics.counter;
+  c_bytes_in : Metrics.counter;
+  c_bytes_out : Metrics.counter;
+  c_writes : Metrics.counter;
+}
+
 type t = {
   loop : Evloop.t;
   sock : Unix.file_descr;
-  metrics : Gc_obs.Metrics.t option;
+  metrics : Metrics.t option;
+  counters : counters option;
   decoder : Frame.Decoder.t;
   body : Buffer.t; (* reused: each sent payload is encoded here once *)
   mutable out : Bytes.t; (* frames not yet written: [out_pos, out_len) *)
@@ -44,8 +56,17 @@ let stats t =
 
 let count t name by =
   match t.metrics with
-  | Some m -> Gc_obs.Metrics.incr ~by m name
+  | Some m -> Metrics.incr ~by m name
   | None -> ()
+
+let counters m =
+  {
+    c_frames_in = Metrics.counter_handle m "net.frames_in";
+    c_frames_out = Metrics.counter_handle m "net.frames_out";
+    c_bytes_in = Metrics.counter_handle m "net.bytes_in";
+    c_bytes_out = Metrics.counter_handle m "net.bytes_out";
+    c_writes = Metrics.counter_handle m "net.writes";
+  }
 
 let pending_out t = t.out_len - t.out_pos
 
@@ -63,8 +84,11 @@ let rec write_out t =
     | written ->
         t.out_pos <- t.out_pos + written;
         t.bytes_out <- t.bytes_out + written;
-        count t "net.bytes_out" written;
-        count t "net.writes" 1;
+        (match t.counters with
+        | Some c ->
+            Metrics.bump ~by:written c.c_bytes_out;
+            Metrics.bump c.c_writes
+        | None -> ());
         write_out t
     | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN), _, _) ->
         `Blocked
@@ -171,7 +195,7 @@ let send t payload =
           if len > 65_536 then Buffer.reset t.body;
           t.out_len <- t.out_len + len;
           t.frames_out <- t.frames_out + 1;
-          count t "net.frames_out" 1;
+          Option.iter (fun c -> Metrics.bump c.c_frames_out) t.counters;
           schedule_flush t
         end
 
@@ -180,7 +204,7 @@ let rec drain_frames t =
     match Frame.Decoder.next t.decoder with
     | `Payload p ->
         t.frames_in <- t.frames_in + 1;
-        count t "net.frames_in" 1;
+        Option.iter (fun c -> Metrics.bump c.c_frames_in) t.counters;
         t.on_payload t p;
         drain_frames t
     | `Await -> ()
@@ -195,7 +219,9 @@ let on_readable t () =
     | 0 -> close t
     | n ->
         t.bytes_in <- t.bytes_in + n;
-        count t "net.bytes_in" n;
+        (match t.counters with
+        | Some c -> Metrics.bump ~by:n c.c_bytes_in
+        | None -> ());
         Frame.Decoder.feed t.decoder t.scratch ~off:0 ~len:n;
         drain_frames t
     | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN), _, _) -> ()
@@ -223,6 +249,7 @@ let attach ~loop ?metrics ?frame_limit ?(connecting = false) sock ~on_payload
       loop;
       sock;
       metrics;
+      counters = Option.map counters metrics;
       decoder = Frame.Decoder.create ?limit:frame_limit ?metrics ();
       body = Buffer.create 256;
       out = Bytes.create 4096;

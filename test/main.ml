@@ -5,4 +5,5 @@ let () =
    @ Test_faultgen.suite @ Test_fuzz.suite @ Test_fuzz_pins.suite @ Test_lint.suite
    @ Test_perf_structs.suite @ Test_wire.suite @ Test_conformance.suite
    @ Test_telemetry.suite @ Test_gbcast_batch.suite @ Test_conflict_index.suite
-   @ Test_evloop.suite @ Test_storage.suite @ Test_resync.suite @ Test_server.suite)
+   @ Test_evloop.suite @ Test_storage.suite @ Test_resync.suite @ Test_server.suite
+   @ Test_alloc.suite)

@@ -56,6 +56,136 @@ let test_dispatch_order () =
       Alcotest.(check bool) "fired in ascending fd order" true
         (order = List.sort compare order))
 
+(* The cached poll sets: the loop rebuilds its sorted read and write lists
+   only when a callback is added or removed, so every path that adds,
+   removes or re-arms one must reach the cache.  A model of what should be
+   watched is kept beside the loop and checked against [watched_fds]
+   after every step; a removed descriptor left in the cache would reach
+   [select] after its close and fail the next tick with EBADF; and each
+   tick's dispatch must be in ascending fd order. *)
+let test_poll_set_cache () =
+  let loop = Evloop.create () in
+  let model = Hashtbl.create 16 in
+  let fired = ref [] in
+  let note tag fd () = fired := (tag, fd) :: !fired in
+  let watch_read fd cb =
+    Evloop.set_read loop fd cb;
+    Hashtbl.replace model (fd, `R) (cb <> None)
+  and watch_write fd cb =
+    Evloop.set_write loop fd cb;
+    Hashtbl.replace model (fd, `W) (cb <> None)
+  and unwatch fd =
+    Evloop.forget loop fd;
+    Hashtbl.replace model (fd, `R) false;
+    Hashtbl.replace model (fd, `W) false
+  in
+  let expected () =
+    Hashtbl.fold (fun (fd, _) on acc -> if on then fd :: acc else acc) model []
+    |> List.sort_uniq compare
+  in
+  let check what =
+    Alcotest.(check bool)
+      (what ^ ": watched_fds matches the model")
+      true
+      (Evloop.watched_fds loop = expected ())
+  in
+  let tick what =
+    fired := [];
+    Evloop.run_once loop ~max_wait:0.0;
+    let order = List.rev !fired in
+    let reads = List.filter_map (fun (k, fd) -> if k = `R then Some fd else None) order
+    and writes = List.filter_map (fun (k, fd) -> if k = `W then Some fd else None) order in
+    Alcotest.(check bool) (what ^ ": reads in fd order") true
+      (reads = List.sort compare reads);
+    Alcotest.(check bool) (what ^ ": writes in fd order") true
+      (writes = List.sort compare writes);
+    check what;
+    order
+  in
+  let poke fd = ignore (Unix.write fd (Bytes.of_string "x") 0 1) in
+  let drain fd = ignore (Unix.read fd (Bytes.create 16) 0 16) in
+  let pairs =
+    Array.init 4 (fun _ -> Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0)
+  in
+  let a i = fst pairs.(i) and b i = snd pairs.(i) in
+  let closed = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun (x, y) ->
+          List.iter
+            (fun fd ->
+              if not (List.memq fd !closed) then
+                try Unix.close fd with Unix.Unix_error _ -> ())
+            [ x; y ])
+        pairs)
+    (fun () ->
+      (* between ticks, scrambled *)
+      List.iter
+        (fun i -> watch_read (a i) (Some (fun () -> drain (a i); note `R (a i) ())))
+        [ 2; 0; 3; 1 ];
+      check "registered";
+      Array.iter (fun (_, y) -> poke y) pairs;
+      Support.check_int "every ready read fires" 4 (List.length (tick "all readable"));
+      (* replacing a callback keeps the set; removing and re-arming move it *)
+      watch_read (a 1) (Some (fun () -> drain (a 1); note `R (a 1) ()));
+      watch_read (a 3) None;
+      watch_write (b 2) (Some (note `W (b 2)));
+      watch_write (b 0) (Some (note `W (b 0)));
+      check "re-armed";
+      poke (b 1);
+      poke (b 3);
+      let order = tick "after re-arm" in
+      Support.check_bool "a removed read callback never fires" false
+        (List.mem (`R, a 3) order);
+      Support.check_int "one read, two writes" 3 (List.length order);
+      drain (a 3);
+      (* from inside callbacks: a write callback disarms itself, one arms a
+         sibling, and a read callback forgets and closes a sibling whose
+         own data is ready in the same batch *)
+      watch_write (b 2)
+        (Some
+           (fun () ->
+             note `W (b 2) ();
+             watch_write (b 2) None;
+             watch_write (b 1) (Some (note `W (b 1)))));
+      watch_read (a 0)
+        (Some
+           (fun () ->
+             drain (a 0);
+             note `R (a 0) ();
+             unwatch (a 2);
+             Unix.close (a 2);
+             closed := a 2 :: !closed));
+      watch_read (a 2) (Some (note `R (a 2)));
+      poke (b 0);
+      poke (b 2);
+      let order = tick "callbacks edit the sets" in
+      Support.check_bool "a sibling closed mid-batch is not dispatched" false
+        (List.mem (`R, a 2) order);
+      Support.check_bool "the armed sibling waits for the next tick" false
+        (List.mem (`W, b 1) order);
+      (* the closed fd must not reach select: this tick would raise EBADF *)
+      let order = tick "after the close" in
+      Support.check_bool "the newly armed write fires" true (List.mem (`W, b 1) order);
+      Support.check_bool "the self-disarmed write is gone" false
+        (List.mem (`W, b 2) order);
+      (* a new socket takes the freed fd number: its own callback runs *)
+      let x, y = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      let reused = x = a 2 || y = a 2 in
+      let fresh = if y = a 2 then y else x and peer = if y = a 2 then x else y in
+      watch_read fresh (Some (fun () -> drain fresh; note `R fresh ()));
+      poke peer;
+      let order = tick "fd reused" in
+      Unix.close x;
+      Unix.close y;
+      unwatch fresh;
+      Support.check_bool "the reused fd number's new callback fires" true
+        (List.mem (`R, fresh) order);
+      if not reused then
+        print_endline "note: the OS did not reuse the closed fd number";
+      ignore (tick "reused fd gone"))
+
 module Fconn = Gc_runtime_unix.Fconn
 module Proto = Gc_server.Proto
 
@@ -223,6 +353,8 @@ let suite =
     ( "evloop",
       [
         Alcotest.test_case "watched_fds is sorted" `Quick test_watched_sorted;
+        Alcotest.test_case "poll-set cache follows every edit" `Quick
+          test_poll_set_cache;
         Alcotest.test_case "ready callbacks dispatch in fd order" `Quick
           test_dispatch_order;
         Alcotest.test_case "peer death between partial writes" `Quick

@@ -251,8 +251,8 @@ let test_typed_b2 () =
   | ds -> Alcotest.failf "expected exactly 1 B2, got %d" (List.length ds)
 
 let test_typed_e2 () =
-  Alcotest.check pairs "unknown name and kind mismatch"
-    [ ("E2", 8); ("E2", 9) ]
+  Alcotest.check pairs "unknown name and kind mismatch, direct and by handle"
+    [ ("E2", 8); ("E2", 9); ("E2", 13); ("E2", 14) ]
     (rule_lines (typed_findings ~rule:"E2" [ "Fixture_e2" ]))
 
 (* The shipped repo lints clean: the zero-findings baseline is itself a

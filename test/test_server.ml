@@ -100,6 +100,52 @@ let crash_rejoin dirs =
   Array.iter Fconn.close conns;
   Array.iter Server.shutdown servers
 
+(* A client frame whose string length is a 9- or 10-byte varint once
+   raised out of the decoder and the event loop, killing the server.  Each
+   such frame is now a counted body-level reject: the server goes on
+   answering another client, and the sender's own connection, whose
+   framing is intact, stays usable (only framing corruption closes a
+   connection). *)
+let test_hostile_client_frame () =
+  let loop = Evloop.create () in
+  let servers = Test_telemetry.boot_cluster ~loop ~n:1 in
+  let s = servers.(0) in
+  let replies = Hashtbl.create 8 in
+  let connect () =
+    Test_telemetry.connect_client ~loop ~port:(Server.client_port s)
+      ~on_payload:(fun _ p ->
+        match p with
+        | Proto.Cl_reply { rid; ok; _ } -> Hashtbl.replace replies rid ok
+        | _ -> ())
+  in
+  let good = connect () and hostile = connect () in
+  let ask conn p rid =
+    Fconn.send conn p;
+    Test_telemetry.pump_until loop ~what:(Printf.sprintf "reply %d" rid)
+      (fun () -> Hashtbl.mem replies rid);
+    Alcotest.(check bool) (Printf.sprintf "request %d answered ok" rid) true
+      (Hashtbl.find replies rid)
+  in
+  ask good (Proto.Cl_put { rid = 0; key = "k"; value = "v0" }) 0;
+  ask hostile (Proto.Cl_dump { rid = 1 }) 1;
+  let rejects () = Metrics.counter (Server.metrics s) "net.frame_reject" in
+  let before = rejects () in
+  let bodies = Test_wire.hostile_bodies () in
+  List.iter
+    (fun (_, body) ->
+      let f = Test_wire.frame_of_body body in
+      ignore (Unix.write_substring (Fconn.fd hostile) f 0 (String.length f)))
+    bodies;
+  Test_telemetry.pump_until loop ~what:"the hostile frames' rejects" (fun () ->
+      rejects () >= before + List.length bodies);
+  Alcotest.(check int) "every hostile frame rejected"
+    (before + List.length bodies) (rejects ());
+  ask good (Proto.Cl_put { rid = 2; key = "k"; value = "v2" }) 2;
+  ask hostile (Proto.Cl_dump { rid = 3 }) 3;
+  Fconn.close good;
+  Fconn.close hostile;
+  Array.iter Server.shutdown servers
+
 let test_crash_rejoin_full_image () =
   let dirs = Array.init nodes (fun _ -> Test_storage.temp_dir ()) in
   Fun.protect
@@ -232,6 +278,8 @@ let suite =
   [
     ( "server",
       [
+        Alcotest.test_case "a hostile client frame is rejected, not fatal"
+          `Quick test_hostile_client_frame;
         Alcotest.test_case "crash and rejoin on the full image" `Quick
           test_crash_rejoin_full_image;
         Alcotest.test_case "crash and rejoin in virtual time" `Quick

@@ -647,6 +647,91 @@ let test_decoder_dead_on_bad_length () =
   | _ -> Alcotest.fail "dead decoder stays corrupt");
   check_int "reject counted" 1 (Metrics.counter m "net.frame_reject")
 
+(* A string length near [max_int] once passed [Wire.read_str]'s bounds
+   check: [pos + n > limit] overflowed, and [String.sub] then raised
+   [Invalid_argument] out of [Payload.decode] and the stream decoder, up
+   through the event loop.  9- and 10-byte varint lengths, at a codec tag,
+   at a [Cl_put] key and at an [Sv_state] blob, must each be a typed
+   [Truncated] error, and the stream must go on at the next frame. *)
+let hostile_lengths =
+  let w = Buffer.create 16 in
+  List.map
+    (fun n ->
+      Buffer.clear w;
+      Wire.varint w n;
+      Buffer.contents w)
+    [ max_int; max_int - 5; 1 lsl 61; -(1 lsl 61) ]
+  @ [ "\xfe\xff\xff\xff\xff\xff\xff\xff\xff\x01" ]
+
+let hostile_bodies () =
+  List.concat_map
+    (fun len ->
+      let body prefix rest =
+        let w = Buffer.create 32 in
+        prefix w;
+        Buffer.add_string w len;
+        Buffer.add_string w rest;
+        Buffer.contents w
+      in
+      [
+        ("codec tag", body ignore "rc");
+        ( "Cl_put key",
+          body
+            (fun w ->
+              Wire.str w "cl";
+              Wire.u8 w 0;
+              Wire.varint w 1)
+            "key" );
+        ( "Sv_state blob",
+          body
+            (fun w ->
+              Wire.str w "cl";
+              Wire.u8 w 8)
+            "blob" );
+      ])
+    hostile_lengths
+
+(* A frame around raw body bytes. *)
+let frame_of_body body =
+  let b = Bytes.create (4 + String.length body) in
+  Bytes.set_int32_be b 0 (Int32.of_int (String.length body));
+  Bytes.blit_string body 0 b 4 (String.length body);
+  Bytes.to_string b
+
+let test_hostile_lengths () =
+  List.iter
+    (fun len ->
+      check_bool "a 9- or 10-byte varint" true
+        (String.length len = 9 || String.length len = 10))
+    hostile_lengths;
+  let next = frame_of (Proto.Cl_dump { rid = 5 }) in
+  List.iter
+    (fun (what, body) ->
+      (match Payload.decode body with
+      | Error Payload.Truncated -> ()
+      | Error e ->
+          Alcotest.failf "%s: wrong error %s" what
+            (Payload.codec_error_to_string e)
+      | Ok p -> Alcotest.failf "%s decoded as %s" what (Payload.to_string p)
+      | exception e ->
+          Alcotest.failf "%s: decode raised %s" what (Printexc.to_string e));
+      let d = Frame.Decoder.create () in
+      Frame.Decoder.feed_string d (frame_of_body body ^ next);
+      (match Frame.Decoder.next d with
+      | `Corrupt (Frame.Codec Payload.Truncated) -> ()
+      | `Corrupt e ->
+          Alcotest.failf "%s: wrong reject %s" what (Frame.error_to_string e)
+      | `Payload p ->
+          Alcotest.failf "%s: frame decoded as %s" what (Payload.to_string p)
+      | `Await -> Alcotest.failf "%s: complete frame awaits" what
+      | exception e ->
+          Alcotest.failf "%s: stream decoder raised %s" what
+            (Printexc.to_string e));
+      match Frame.Decoder.next d with
+      | `Payload (Proto.Cl_dump { rid = 5 }) -> ()
+      | _ -> Alcotest.failf "%s: stream must go on at the next frame" what)
+    (hostile_bodies ())
+
 let suite =
   [
     ( "wire",
@@ -676,5 +761,7 @@ let suite =
           test_decoder_body_bounded_by_frame;
         Alcotest.test_case "decoder dies on length corruption" `Quick
           test_decoder_dead_on_bad_length;
+        Alcotest.test_case "hostile string lengths are typed errors" `Quick
+          test_hostile_lengths;
       ] );
   ]
