@@ -185,21 +185,13 @@ let in_fd_order = function ([] | [ _ ]) as l -> l | l -> List.sort compare l
 
 (* Look each callback up at dispatch time: an earlier callback in the
    batch may close a sibling's descriptor and unregister it. *)
-let rec dispatch_reads t = function
+let rec dispatch t pick = function
   | [] -> ()
   | fd :: rest ->
-      (match Hashtbl.find t.watchers fd with
-      | { on_read = Some cb; _ } -> cb ()
-      | _ | (exception Not_found) -> ());
-      dispatch_reads t rest
-
-let rec dispatch_writes t = function
-  | [] -> ()
-  | fd :: rest ->
-      (match Hashtbl.find t.watchers fd with
-      | { on_write = Some cb; _ } -> cb ()
-      | _ | (exception Not_found) -> ());
-      dispatch_writes t rest
+      (match pick (Hashtbl.find t.watchers fd) with
+      | Some cb -> cb ()
+      | None | (exception Not_found) -> ());
+      dispatch t pick rest
 
 let run_once t ~max_wait =
   let t0 = now t in
@@ -225,8 +217,8 @@ let run_once t ~max_wait =
   let t_woke = now t in
   (* [select] makes no ordering promise on its ready lists (the OCaml
      runtime returns them reversed); sort so dispatch is in fd order. *)
-  dispatch_reads t (in_fd_order ready_r);
-  dispatch_writes t (in_fd_order ready_w);
+  dispatch t (fun w -> w.on_read) (in_fd_order ready_r);
+  dispatch t (fun w -> w.on_write) (in_fd_order ready_w);
   fire_due t;
   match t.metrics with
   | None -> ()

@@ -8,11 +8,12 @@
 # `python3 perfbench/run.py --workload W --seed S --seconds 21` once in the
 # parent's copy and once in the working tree, alternating which side runs
 # first from one seed to the next so a drift of the host does not favour
-# either.  Each run's result line is echoed as it lands; at the end, for
-# each workload, every end-to-end metric's median on both sides, the
-# parent's interquartile range, the relative change of the medians and
-# the number of pairs in which the working tree did better, plus whether
-# every run was correct with no failed op.
+# either.  A seed may be repeated to get several pairs on one seed.  Each
+# run's result line is echoed as it lands; at the end, for each workload,
+# every end-to-end metric's median on both sides, the parent's
+# interquartile range, the relative change of the medians and the number
+# of pairs in which the working tree did better, plus whether every run
+# was correct with no failed op.
 #
 # Run from the repository root.  Takes about 2 x 25 s per seed and
 # workload.  Nothing under perfbench/ is touched; the temporary copy is
@@ -42,7 +43,7 @@ RESULTS="$WORK/results.tsv"
 run() { # side dir workload seed
   local line
   line=$(cd "$2" && python3 perfbench/run.py --workload "$3" --seed "$4" --seconds 21 | tail -n 1) || true
-  printf '%s\t%s\t%s\t%s\n' "$1" "$3" "$4" "$line" | tee -a "$RESULTS" >&2
+  printf '%s\t%s\t%s\t%s\t%s\n' "$i" "$1" "$3" "$4" "$line" | tee -a "$RESULTS" >&2
 }
 
 i=0
@@ -64,12 +65,12 @@ import json, statistics, sys
 
 rows = {}
 for line in open(sys.argv[1]):
-    side, workload, seed, result = line.rstrip("\n").split("\t", 3)
+    pair, side, workload, seed, result = line.rstrip("\n").split("\t", 4)
     try:
         r = json.loads(result)
     except ValueError:
         r = None
-    rows.setdefault(workload, {}).setdefault(seed, {})[side] = r
+    rows.setdefault(workload, {}).setdefault(pair, {})[side] = r
 spec = json.load(open(sys.argv[2]))["end_to_end"]
 
 def quartiles(xs):
@@ -78,10 +79,10 @@ def quartiles(xs):
     q = statistics.quantiles(xs, n=4, method="inclusive")
     return q[0], q[2]
 
-for workload, seeds in rows.items():
-    pairs = [(s["parent"], s["tree"]) for s in seeds.values()
+for workload, runs in rows.items():
+    pairs = [(s["parent"], s["tree"]) for s in runs.values()
              if s.get("parent") and s.get("tree")]
-    every = [r for s in seeds.values() for r in s.values()]
+    every = [r for s in runs.values() for r in s.values()]
     ok = all(r and r["correct"] and r["failed"] == 0 for r in every)
     print("%s: %d pairs, every run correct with 0 failed: %s"
           % (workload, len(pairs), "yes" if ok else "NO"))
