@@ -11,9 +11,18 @@
 # either.  A seed may be repeated to get several pairs on one seed.  Each
 # run's result line is echoed as it lands; at the end, for each workload,
 # every end-to-end metric's median on both sides, the parent's
-# interquartile range, the relative change of the medians and the number
-# of pairs in which the working tree did better, plus whether every run
-# was correct with no failed op.
+# interquartile range, the relative change of the medians, the number
+# of pairs in which the working tree did better and a verdict, plus
+# whether every run was correct with no failed op.  The verdict, with
+# `bound` the metric's bound in BENCHMARK.json:
+#   gain        at least 10 pairs, the tree did better in at least 9/10 of
+#               them, and the medians differ by more than the parent's IQR
+#               width;
+#   worse       the tree's median is worse than the parent's by more than
+#               `bound` (relative);
+#   unresolved  neither, and the parent's IQR is wider than `bound`
+#               (relative to the parent's median);
+#   same        otherwise.
 #
 # Run from the repository root.  Takes about 2 x 25 s per seed and
 # workload.  Nothing under perfbench/ is touched; the temporary copy is
@@ -88,8 +97,9 @@ for workload, runs in rows.items():
           % (workload, len(pairs), "yes" if ok else "NO"))
     if not pairs:
         continue
-    print("  %-16s %12s %25s %12s %8s %7s"
-          % ("metric", "parent", "parent IQR", "tree", "change", "better"))
+    print("  %-16s %12s %25s %12s %8s %7s  %s"
+          % ("metric", "parent", "parent IQR", "tree", "change", "better",
+             "verdict"))
     for m in spec:
         name, lower = m["name"], m["better"] == "lower"
         p = [a["metrics"][name]["value"] for a, _ in pairs]
@@ -98,6 +108,15 @@ for workload, runs in rows.items():
         q1, q3 = quartiles(sorted(p))
         better = sum((b < a) if lower else (b > a) for a, b in zip(p, t))
         change = (tm - pm) / pm * 100 if pm else float("nan")
-        print("  %-16s %12.4f %12.4f..%-12.4f %12.4f %+7.1f%% %4d/%d"
-              % (name, pm, q1, q3, tm, change, better, len(pairs)))
+        gain = (tm - pm) * (-1 if lower else 1)
+        if len(pairs) >= 10 and better >= 0.9 * len(pairs) and gain > q3 - q1:
+            verdict = "gain"
+        elif -gain > m["bound"] * abs(pm):
+            verdict = "worse"
+        elif q3 - q1 > m["bound"] * abs(pm):
+            verdict = "unresolved"
+        else:
+            verdict = "same"
+        print("  %-16s %12.4f %12.4f..%-12.4f %12.4f %+7.1f%% %4d/%d  %s"
+              % (name, pm, q1, q3, tm, change, better, len(pairs), verdict))
 EOF
