@@ -7,7 +7,9 @@
    define finer relations: here, writes to different keys commute (fast
    path), writes to the same key — and any read of a written key — conflict
    and get ordered.  Replicas converge even though each applies commuting
-   writes in its own arrival order. *)
+   writes in its own arrival order.  The run exits 1 if the distinct-key
+   phase changed stage, the same-key phase did not, or the replicas
+   diverged. *)
 
 module Engine = Gc_sim.Engine
 module Trace = Gc_sim.Trace
@@ -21,6 +23,10 @@ module Process = Gc_kernel.Process
 module Sm = Gc_replication.State_machine
 
 let n = 3
+
+let fail msg =
+  prerr_endline ("kv_store: " ^ msg);
+  exit 1
 
 let () =
   let engine = Engine.create ~seed:13L () in
@@ -36,8 +42,7 @@ let () =
         let rb = Rb.create proc rc in
         let ab = Ab.create proc ~rc ~rb ~fd ~members () in
         let gb =
-          Gb.create proc ~rc ~rb ~ab
-            ~conflict:(Gc_gbcast.Conflict.of_relation Sm.Kv.conflict) ~members ()
+          Gb.create proc ~rc ~rb ~ab ~conflict:Sm.Kv.conflict ~members ()
         in
         Gb.on_deliver gb (fun ~origin:_ payload ->
             match payload with
@@ -53,13 +58,15 @@ let () =
   Gb.gbcast gbs.(1) (Sm.Kv.Put { key = "beta"; data = "from-1" });
   Gb.gbcast gbs.(2) (Sm.Kv.Put { key = "gamma"; data = "from-2" });
   Engine.run ~until:1_000.0 engine;
-  Printf.printf "stage changes so far: %d (expected 0)\n" (Gb.stage gbs.(0));
+  let commuting_stage = Gb.stage gbs.(0) in
+  Printf.printf "stage changes so far: %d (expected 0)\n" commuting_stage;
 
   print_endline "--- concurrent writes to the SAME key: ordered by a cut ---";
   Gb.gbcast gbs.(0) (Sm.Kv.Put { key = "shared"; data = "zero" });
   Gb.gbcast gbs.(1) (Sm.Kv.Put { key = "shared"; data = "one" });
   Engine.run ~until:2_000.0 engine;
-  Printf.printf "stage changes now: %d (>= 1)\n" (Gb.stage gbs.(0));
+  let ordered_stage = Gb.stage gbs.(0) in
+  Printf.printf "stage changes now: %d (>= 1)\n" ordered_stage;
 
   (* Convergence check. *)
   let snaps = Array.map (fun s -> s.Sm.snapshot ()) stores in
@@ -69,6 +76,10 @@ let () =
   | Sm.Kv.Kv_state kvs ->
       List.iter (fun (k, v) -> Printf.printf "  %s = %s\n" k v) kvs
   | _ -> ());
-  Printf.printf "fast-path deliveries at node 0: %d of %d\n"
+  Printf.printf "fast-path deliveries at node 0: %d of %d\n%!"
     (Gb.fast_delivered_count gbs.(0))
-    (Gb.delivered_count gbs.(0))
+    (Gb.delivered_count gbs.(0));
+  if commuting_stage <> 0 then fail "distinct-key writes changed stage";
+  if ordered_stage = commuting_stage then
+    fail "same-key writes did not change stage";
+  if not same then fail "replicas diverged"

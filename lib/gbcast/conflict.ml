@@ -1,38 +1,42 @@
-type relation = Gc_net.Payload.t -> Gc_net.Payload.t -> bool
-
-let none _ _ = false
-let all _ _ = true
-
-type klass = Commuting | Ordered
-
-let by_class ~classify m m' =
-  match (classify m, classify m') with
-  | Commuting, Commuting -> false
-  | Commuting, Ordered | Ordered, Commuting | Ordered, Ordered -> true
-
-type index = {
+type t = {
   classes : int;
   classify : Gc_net.Payload.t -> int;
   matrix : int -> int -> bool;
 }
 
-type t = Relation of relation | Indexed of index
+let make ~classes ~classify ~matrix =
+  if classes < 1 then invalid_arg "Conflict.make: classes < 1";
+  for a = 0 to classes - 1 do
+    for b = a + 1 to classes - 1 do
+      if matrix a b <> matrix b a then
+        invalid_arg "Conflict.make: matrix not symmetric"
+    done
+  done;
+  { classes; classify; matrix }
 
-let of_relation r = Relation r
+let one_class self =
+  { classes = 1; classify = (fun _ -> 0); matrix = (fun _ _ -> self) }
 
-let indexed ~classes ~classify ~matrix =
-  if classes < 1 then invalid_arg "Conflict.indexed: classes < 1";
-  Indexed { classes; classify; matrix }
+let none = one_class false
+let all = one_class true
+
+type klass = Commuting | Ordered
 
 let two_class ~classify =
-  Indexed
-    {
-      classes = 2;
-      classify = (fun p -> match classify p with Commuting -> 0 | Ordered -> 1);
-      matrix = (fun a b -> a <> 0 || b <> 0);
-    }
+  {
+    classes = 2;
+    classify = (fun p -> match classify p with Commuting -> 0 | Ordered -> 1);
+    matrix = (fun a b -> a <> 0 || b <> 0);
+  }
 
-let check = function
-  | Relation r -> r
-  | Indexed { classify; matrix; _ } ->
-      fun m m' -> matrix (classify m) (classify m')
+let conflicts c m m' = c.matrix (c.classify m) (c.classify m')
+
+(* The probed message is one of [occupancy.(k)]: it blocks itself only if
+   another message of its class is tracked. *)
+let blocked c ~occupancy k =
+  let rec probe j =
+    j < c.classes
+    && ((occupancy.(j) > (if j = k then 1 else 0) && c.matrix k j)
+       || probe (j + 1))
+  in
+  probe 0

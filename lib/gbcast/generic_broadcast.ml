@@ -118,9 +118,9 @@ type ack_mode = Two_thirds | All_members
    apart, so that normally a single cut is broadcast. *)
 let cut_backoff = 15.0
 
-(* A stage-table entry; [acked]: this process acked it in the current
-   stage. *)
-type entry = { msg : msg; mutable acked : bool }
+(* A stage-table entry; [cls]: its conflict class; [acked]: this process
+   acked it in the current stage. *)
+type entry = { msg : msg; cls : int; mutable acked : bool }
 
 type t = {
   proc : Process.t;
@@ -128,8 +128,8 @@ type t = {
   rc : Rc.t;
   ab : Ab.t;
   storage : Gc_kernel.Storage.t option;
-  conflict : Conflict.relation; (* pairwise view of [conflict_spec] *)
-  index : Conflict_index.t; (* occupancy over the ids of [tracked] *)
+  conflict : Conflict.t;
+  occupancy : int array; (* entries of [tracked] per conflict class *)
   ack_mode : ack_mode;
   mutable member_list : int list;
   mutable next_gseq : int;
@@ -142,8 +142,8 @@ type t = {
      them, otherwise a conflicting message could gather a quorum too, or a
      fast-delivered message could drop out of the stage-change cut.  So a
      delivered id is held iff it is acked.  [track] and [untrack] are the
-     only writers of the table's key set and of [index], which holds
-     exactly those keys. *)
+     only writers of the table's key set and of [occupancy], which counts
+     its entries by class. *)
   tracked : (int * int, entry) Hashtbl.t;
   delivered : Delivered.t;
   acks : (int * (int * int), int list) Hashtbl.t;
@@ -199,8 +199,7 @@ let send_all t payload =
     t.member_list
 
 let note_occupancy t =
-  Gc_obs.Metrics.set t.g_occupancy
-    (float_of_int (Conflict_index.occupancy t.index))
+  Gc_obs.Metrics.set t.g_occupancy (float_of_int (Hashtbl.length t.tracked))
 
 (* Enter a newly rdelivered message in the stage table, unless it is
    delivered or held already; [true] if it was new. *)
@@ -208,35 +207,37 @@ let track t m =
   let id = msg_id m in
   let fresh = not (Delivered.mem t.delivered id || Hashtbl.mem t.tracked id) in
   if fresh then begin
-    Hashtbl.replace t.tracked id { msg = m; acked = false };
-    Conflict_index.add t.index id m.body
+    let cls = t.conflict.classify m.body in
+    Hashtbl.replace t.tracked id { msg = m; cls; acked = false };
+    t.occupancy.(cls) <- t.occupancy.(cls) + 1
   end;
   fresh
 
-let untrack t id =
+let untrack t id cls =
   Hashtbl.remove t.tracked id;
-  Conflict_index.remove t.index id
+  t.occupancy.(cls) <- t.occupancy.(cls) - 1
 
 (* Untrack every delivered entry, and apply [survivor] to the others.
-   Removals commute in the index; the ids are sorted only because an
+   Removals commute in the counters; the ids are sorted only because an
    unsorted fold may not feed protocol state. *)
 let untrack_delivered t survivor =
   Hashtbl.fold
     (fun id e gone ->
-      if Delivered.mem t.delivered id then id :: gone
+      if Delivered.mem t.delivered id then (id, e.cls) :: gone
       else begin
         survivor e;
         gone
       end)
     t.tracked []
-  |> List.sort compare_id
-  |> List.iter (untrack t)
+  |> List.sort (fun (a, _) (b, _) -> compare_id a b)
+  |> List.iter (fun (id, cls) -> untrack t id cls)
 
 (* Write-ahead delivery log: appended after dedup accepts the id, before
-   subscribers run.  [ordered] records the message's conflict class so
-   recovery can tell totally-ordered deliveries from commuting ones.  A
-   payload without a codec is counted and delivered anyway (sim-only). *)
-let log_delivery t m =
+   subscribers run.  [ordered] records whether the message's conflict
+   class conflicts with itself, so recovery can tell totally-ordered
+   deliveries from commuting ones.  A payload without a codec is counted
+   and delivered anyway (sim-only). *)
+let log_delivery t m ~ordered =
   match t.storage with
   | None -> ()
   | Some store -> (
@@ -248,7 +249,7 @@ let log_delivery t m =
                   {
                     Gc_kernel.Storage.Record.origin = m.origin;
                     seq = t.n_delivered;
-                    ordered = t.conflict m.body m.body;
+                    ordered;
                     payload;
                   }))
       | Error _ -> Process.incr t.proc "storage.append_skipped")
@@ -264,11 +265,18 @@ let deliver t m =
   let id = msg_id m in
   if Delivered.add t.delivered id then begin
     Hashtbl.remove t.acks (t.stage, id);
-    (* An acked entry stays until the stage ends. *)
-    (match Hashtbl.find_opt t.tracked id with
-    | Some { acked = false; _ } -> untrack t id
-    | _ -> ());
-    log_delivery t m;
+    (* An acked entry stays until the stage ends.  A cut may deliver a
+       message this process never tracked. *)
+    let cls =
+      match Hashtbl.find_opt t.tracked id with
+      | Some { acked = false; cls; _ } ->
+          untrack t id cls;
+          cls
+      | Some { cls; _ } -> cls
+      | None -> t.conflict.classify m.body
+    in
+    let ordered = t.conflict.matrix cls cls in
+    log_delivery t m ~ordered;
     t.n_delivered <- t.n_delivered + 1;
     Gc_obs.Metrics.bump t.c_delivered;
     if m.origin = Process.id t.proc then observe_latency t m.gseq;
@@ -283,9 +291,7 @@ let deliver t m =
           [
             ("origin", string_of_int m.origin);
             ("gseq", string_of_int m.gseq);
-            ( "cls",
-              if t.conflict m.body m.body then "conflicting" else "commuting"
-            );
+            ("cls", if ordered then "conflicting" else "commuting");
           ]
         ();
     List.iter (fun f -> f ~origin:m.origin m.body) t.subscribers
@@ -435,9 +441,9 @@ and force_cut t =
 
 (* Fast-path examination of a pending message: acknowledge it unless it
    conflicts with another message of the stage; a conflict changes stage.
-   The "conflicts with anything pending or acked?" probe goes through the
-   conflict index — O(classes) for indexed relations — instead of a scan
-   over every stage-relevant message. *)
+   The "conflicts with anything pending or acked?" probe reads the
+   per-class occupancy counters — O(classes) — instead of scanning every
+   stage-relevant message. *)
 let rec examine t m =
   let id = msg_id m in
   match Hashtbl.find_opt t.tracked id with
@@ -447,10 +453,11 @@ let rec examine t m =
          its delivery live with f < n/2, since the cut only needs atomic
          broadcast. *)
       let self_conflicting =
-        t.ack_mode = All_members && t.conflict m.body m.body
+        t.ack_mode = All_members && t.conflict.matrix e.cls e.cls
       in
       let conflicts_with_stage =
-        self_conflicting || Conflict_index.blocked t.index ~excluding:id m.body
+        self_conflicting
+        || Conflict.blocked t.conflict ~occupancy:t.occupancy e.cls
       in
       if conflicts_with_stage then freeze t
       else begin
@@ -543,8 +550,8 @@ let create proc ~rc ~rb ~ab ~conflict ?(ack_mode = Two_thirds)
         rc;
         ab;
         storage;
-        conflict = Conflict.check conflict;
-        index = Conflict_index.create conflict;
+        conflict;
+        occupancy = Array.make conflict.classes 0;
         ack_mode;
         member_list = members;
         next_gseq = Delivered.first_seq ~epoch;
@@ -656,7 +663,7 @@ let bootstrap t ~stage ~delivered =
   Delivered.union_into ~into:t.delivered delivered;
   (* Stragglers rdelivered before the transfer completed are already
      delivered at the snapshot source: purge them, or they would stay in
-     the conflict index forever and freeze the fast path on every message
+     the occupancy counters forever and freeze the fast path on every message
      they conflict with. *)
   untrack_delivered t ignore;
   note_occupancy t;

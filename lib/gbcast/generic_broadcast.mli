@@ -5,8 +5,8 @@
 
     - the usual reliable-broadcast properties (validity, uniform agreement,
       integrity), plus
-    - {b generic order}: if [conflict m m'] and two processes deliver both,
-      they deliver them in the same order.
+    - {b generic order}: if [Conflict.conflicts conflict m m'] and two
+      processes deliver both, they deliver them in the same order.
 
     Non-conflicting messages take a {e fast path} with no consensus: the
     message is reliably broadcast, every process acknowledges it to everyone
@@ -79,10 +79,10 @@ val create :
     proposals are staggered by member rank, 15 ms apart, so that normally a
     single cut is broadcast.
 
-    [conflict] may be a bare pairwise relation or an indexed class
-    specification ({!Conflict.t}); indexed specifications make the
-    per-message "conflicts with anything pending?" probe O(classes)
-    instead of a scan (see {!Conflict_index}).
+    [conflict] is a class specification ({!Conflict.t}).  Each tracked
+    message's class is computed once and counted per class, so the
+    per-message "conflicts with anything pending?" probe is O(classes)
+    ({!Conflict.blocked}), however many messages are pending.
 
     [batch_max] (default 1 = unbatched) and [batch_delay] (default 1 ms)
     batch submissions through a size/tick watermark ({!Gc_abcast.Batcher}):
@@ -95,7 +95,8 @@ val create :
     [storage], when given, receives one {!Gc_kernel.Storage.Record} per
     g-delivered message, appended between duplicate suppression and the
     subscriber callbacks (write-ahead with respect to the application);
-    the record's [ordered] flag is the message's conflict class.
+    the record's [ordered] flag says whether the message's conflict class
+    conflicts with itself.
 
     [epoch] (default 0) is the boot incarnation: message ids are
     [(origin, gseq)] and receivers dedup on them for the life of the run,

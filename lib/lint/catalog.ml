@@ -14,7 +14,7 @@
    gc_net; gc_obs is pure observability and depends on nothing. *)
 
 let rule_ids =
-  [ "D1"; "D2"; "D3"; "D4"; "E1"; "E2"; "L1"; "W1"; "B1"; "B2"; "P0"; "T0" ]
+  [ "D1"; "D2"; "D3"; "D4"; "E1"; "E2"; "L1"; "W1"; "B1"; "B2"; "T0" ]
 
 let rule_summary = function
   | "D1" -> "ambient nondeterminism (Random/Unix/Sys.time) outside lib/sim/rng.ml"
@@ -27,7 +27,6 @@ let rule_summary = function
   | "W1" -> "malformed gcs-lint waiver annotation"
   | "B1" -> "blocking call reachable from an event-loop callback"
   | "B2" -> "raise can escape a protocol message handler"
-  | "P0" -> "source file does not parse"
   | "T0" -> "typed pass found no .cmt files (build the repo first)"
   | r -> "unknown rule " ^ r
 

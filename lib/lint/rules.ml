@@ -305,7 +305,9 @@ let parse_impl ~file source =
   Location.init lexbuf file;
   Parse.implementation lexbuf
 
-(* Parse + lint a source string under its (possibly virtual) path. *)
+(* Parse + lint a source string under its (possibly virtual) path.  A
+   syntax error escapes as the parser's exception: every linted file is
+   compiled, so the build has already failed on it. *)
 let lint_source ~path source =
   let protocol =
     match Catalog.dir_of_path path with
@@ -313,20 +315,5 @@ let lint_source ~path source =
     | None -> false
   in
   let rng_exempt = Catalog.rng_exempt path in
-  match parse_impl ~file:path source with
-  | structure -> lint_structure ~file:path ~protocol ~rng_exempt structure
-  | exception exn ->
-      let loc, msg =
-        match exn with
-        | Syntaxerr.Error err ->
-            ( Syntaxerr.location_of_error err,
-              "syntax error" )
-        | _ -> (Location.in_file path, Printexc.to_string exn)
-      in
-      let line, col = line_col loc in
-      [
-        D.v ~file:path ~line ~col ~rule:"P0"
-          ~suggestion:"fix the syntax error; the lint pass needs a parsable \
-                       tree"
-          msg;
-      ]
+  lint_structure ~file:path ~protocol ~rng_exempt
+    (parse_impl ~file:path source)

@@ -91,12 +91,19 @@ module Kv = struct
     in
     { apply; snapshot; restore }
 
-  let conflict a b =
-    match (a, b) with
-    | Put { key = k; _ }, Put { key = k'; _ } -> k = k'
-    | Put { key = k; _ }, Get { key = k' } | Get { key = k }, Put { key = k'; _ }
-      ->
-        k = k'
-    | Get _, Get _ -> false
-    | _, _ -> true
+  (* Classes [0, buckets) are puts and [buckets, 2 * buckets) gets, by key
+     bucket; class [2 * buckets] is every other payload. *)
+  let buckets = 32
+  let other = 2 * buckets
+
+  let conflict =
+    let bucket key = Hashtbl.hash (key : string) mod buckets in
+    Gc_gbcast.Conflict.make ~classes:(other + 1)
+      ~classify:(function
+        | Put { key; _ } -> bucket key
+        | Get { key } -> buckets + bucket key
+        | _ -> other)
+      ~matrix:(fun a b ->
+        a = other || b = other
+        || ((a < buckets || b < buckets) && a mod buckets = b mod buckets))
 end

@@ -31,9 +31,10 @@ end
 
 (** {1 Key-value store}
 
-    Writes to different keys commute; writes to the same key (and all reads)
-    conflict — a finer-grained conflict relation exercised directly on
-    generic broadcast in the examples. *)
+    Writes to different keys commute; a write and any write or read of the
+    same key conflict; reads commute with each other — a finer-grained
+    conflict relation exercised directly on generic broadcast in the
+    examples. *)
 module Kv : sig
   type Gc_net.Payload.t +=
     | Put of { key : string; data : string }
@@ -44,6 +45,10 @@ module Kv : sig
 
   val make : unit -> t
 
-  val conflict : Gc_gbcast.Conflict.relation
-  (** Puts on distinct keys commute; same-key puts and every get conflict. *)
+  val conflict : Gc_gbcast.Conflict.t
+  (** A put conflicts with every put and get whose key falls in its bucket
+      (32 buckets of [Hashtbl.hash key]); gets commute with each other;
+      any other payload conflicts with everything.  Exact up to buckets:
+      puts on distinct keys that share a bucket are ordered too, which
+      costs them a stage change, not correctness. *)
 end

@@ -1,11 +1,10 @@
-(* The conflict index (DESIGN.md Section 15) must be an exact drop-in for
-   the linear pending scan it replaces: for any conflict relation expressed
-   both ways — as a bare pairwise relation (Scan fallback) and as an
-   indexed class specification (occupancy counters) — the two structures
-   must agree on every [blocked] probe after any add/remove history. *)
+(* The conflict index (DESIGN.md Section 15): generic broadcast counts its
+   stage-table entries per conflict class, and [Conflict.blocked] answers
+   "does this tracked message conflict with any other tracked message?"
+   from those counters.  It must agree with the pairwise scan it replaces
+   after any add/remove history, under any class matrix. *)
 
 module Conflict = Gc_gbcast.Conflict
-module Ci = Gc_gbcast.Conflict_index
 
 type Gc_net.Payload.t += C of { id : int; klass : int }
 
@@ -32,48 +31,58 @@ let matrix_of ~classes bits =
   fun a b -> m.(a).(b)
 
 let payload ~classes i = C { id = i; klass = i mod classes }
-let pid i = (0, i)
 
-(* Apply the same add/remove stream to both representations, probing for
-   agreement after every step.  The probe sweep covers every class and both
-   tracked and untracked exclusions — including the probe's own id, the
-   caller's actual usage (the examined message sits in the pending set). *)
+(* The counters of a tracked set, as generic broadcast keeps them. *)
+let occupancy_of spec tracked =
+  let occ = Array.make spec.Conflict.classes 0 in
+  List.iter
+    (fun p ->
+      let k = spec.Conflict.classify p in
+      occ.(k) <- occ.(k) + 1)
+    tracked;
+  occ
+
+(* Apply a random add/remove stream to a set of tracked ids, keeping the
+   counters incrementally, and after every step probe every tracked message
+   against the brute-force reference: some other tracked message conflicts
+   with it pairwise. *)
 let agree ~classes ~matrix steps =
-  let rel a b = matrix (klass_of a) (klass_of b) in
-  let scan = Ci.create (Conflict.of_relation rel) in
-  let classed =
-    Ci.create (Conflict.indexed ~classes ~classify:klass_of ~matrix)
-  in
+  let spec = Conflict.make ~classes ~classify:klass_of ~matrix in
   let pool = 8 in
+  let occ = Array.make classes 0 in
+  let tracked = Hashtbl.create pool in
   let step ok (add, i) =
     let i = i mod pool in
-    if add then begin
-      Ci.add scan (pid i) (payload ~classes i);
-      Ci.add classed (pid i) (payload ~classes i)
+    let k = i mod classes in
+    if add && not (Hashtbl.mem tracked i) then begin
+      Hashtbl.replace tracked i (payload ~classes i);
+      occ.(k) <- occ.(k) + 1
     end
-    else begin
-      Ci.remove scan (pid i);
-      Ci.remove classed (pid i)
+    else if (not add) && Hashtbl.mem tracked i then begin
+      Hashtbl.remove tracked i;
+      occ.(k) <- occ.(k) - 1
     end;
-    let probes_ok = ref true in
+    let ok = ref ok in
     for p = 0 to pool - 1 do
-      for excl = 0 to pool do
-        let probe = payload ~classes p in
-        if
-          Ci.blocked scan ~excluding:(pid excl) probe
-          <> Ci.blocked classed ~excluding:(pid excl) probe
-        then probes_ok := false
-      done
+      match Hashtbl.find_opt tracked p with
+      | None -> ()
+      | Some probe ->
+          let reference =
+            Hashtbl.fold
+              (fun q other acc ->
+                acc || (q <> p && Conflict.conflicts spec probe other))
+              tracked false
+          in
+          if Conflict.blocked spec ~occupancy:occ (klass_of probe) <> reference
+          then ok := false
     done;
-    ok && !probes_ok
-    && Ci.occupancy scan = Ci.occupancy classed
-    && Ci.mem scan (pid i) = Ci.mem classed (pid i)
+    !ok
   in
   List.fold_left step true steps
 
-let prop_scan_classes_agree =
+let prop_probe_agrees_with_scan =
   QCheck.Test.make
-    ~name:"conflict index: Scan and Classes agree on every probe" ~count:60
+    ~name:"conflict index: probe agrees with a pairwise scan" ~count:60
     QCheck.(
       triple
         (int_range 1 3)
@@ -84,70 +93,56 @@ let prop_scan_classes_agree =
 
 (* ---------- edge cases (unit) ---------- *)
 
-let self_conflicting =
-  Conflict.indexed ~classes:1 ~classify:klass_of ~matrix:(fun _ _ -> true)
-
-let commuting =
-  Conflict.indexed ~classes:1 ~classify:klass_of ~matrix:(fun _ _ -> false)
+let self_conflicting = Conflict.all
+let commuting = Conflict.none
 
 let test_empty_never_blocks () =
+  (* A message alone in the stage table meets only itself, whatever the
+     specification. *)
   List.iter
-    (fun spec ->
-      let t = Ci.create spec in
+    (fun (spec, p) ->
       Alcotest.(check bool)
-        "empty index" false
-        (Ci.blocked t ~excluding:(pid 0) (payload ~classes:1 0));
-      Alcotest.(check int) "empty occupancy" 0 (Ci.occupancy t))
-    [ self_conflicting; commuting; Conflict.of_relation (fun _ _ -> true) ]
+        "alone in the index" false
+        (Conflict.blocked spec
+           ~occupancy:(occupancy_of spec [ p ])
+           (spec.Conflict.classify p)))
+    [
+      (self_conflicting, payload ~classes:1 0);
+      (commuting, payload ~classes:1 0);
+      ( Conflict.two_class ~classify:(fun _ -> Conflict.Ordered),
+        payload ~classes:1 0 );
+    ]
 
 let test_self_exclusion () =
   (* A self-conflicting message alone in the pending set must not block
-     itself — the exclusion is what lets the examine probe run while the
-     examined message is already tracked. *)
-  let t = Ci.create self_conflicting in
-  Ci.add t (pid 1) (payload ~classes:1 1);
+     itself: the probed message is one of the counted ones. *)
+  let occ = [| 1 |] in
   Alcotest.(check bool)
     "alone, excluded" false
-    (Ci.blocked t ~excluding:(pid 1) (payload ~classes:1 1));
-  Ci.add t (pid 2) (payload ~classes:1 2);
+    (Conflict.blocked self_conflicting ~occupancy:occ 0);
+  occ.(0) <- 2;
   Alcotest.(check bool)
     "second same-class occupant blocks" true
-    (Ci.blocked t ~excluding:(pid 1) (payload ~classes:1 1))
+    (Conflict.blocked self_conflicting ~occupancy:occ 0)
 
 let test_total_conflict_degenerates_to_abcast () =
   (* Total conflict = atomic broadcast: any occupant blocks any other
      message, so nothing ever fast-delivers concurrently. *)
-  let t = Ci.create self_conflicting in
-  Ci.add t (pid 1) (payload ~classes:1 1);
+  let spec = self_conflicting in
+  let tracked = [ payload ~classes:1 1; payload ~classes:1 9 ] in
   Alcotest.(check bool)
     "different message blocked" true
-    (Ci.blocked t ~excluding:(pid 9) (payload ~classes:1 9))
+    (Conflict.blocked spec ~occupancy:(occupancy_of spec tracked) 0);
+  Alcotest.(check bool)
+    "pairwise view" true
+    (Conflict.conflicts spec (payload ~classes:1 1) (payload ~classes:1 9))
 
 let test_commuting_never_blocks () =
-  let t = Ci.create commuting in
-  for i = 0 to 9 do
-    Ci.add t (pid i) (payload ~classes:1 i)
-  done;
+  let spec = commuting in
+  let tracked = List.init 10 (payload ~classes:1) in
   Alcotest.(check bool)
     "commuting class never blocks" false
-    (Ci.blocked t ~excluding:(pid 99) (payload ~classes:1 99))
-
-let test_idempotent_add_single_remove () =
-  List.iter
-    (fun spec ->
-      let t = Ci.create spec in
-      Ci.add t (pid 1) (payload ~classes:1 1);
-      Ci.add t (pid 1) (payload ~classes:1 1);
-      Alcotest.(check int) "double add counts once" 1 (Ci.occupancy t);
-      Ci.remove t (pid 1);
-      Alcotest.(check int) "single remove empties" 0 (Ci.occupancy t);
-      Alcotest.(check bool) "mem after remove" false (Ci.mem t (pid 1));
-      Ci.remove t (pid 1);
-      Alcotest.(check int) "remove tolerates absent" 0 (Ci.occupancy t);
-      Alcotest.(check bool)
-        "empty again" false
-        (Ci.blocked t ~excluding:(pid 9) (payload ~classes:1 9)))
-    [ self_conflicting; Conflict.of_relation (fun _ _ -> true) ]
+    (Conflict.blocked spec ~occupancy:(occupancy_of spec tracked) 0)
 
 let test_two_class_spec () =
   (* The stack's own two-class shape: Commuting x Commuting is the only
@@ -156,29 +151,39 @@ let test_two_class_spec () =
     Conflict.two_class ~classify:(fun p ->
         if klass_of p = 0 then Conflict.Commuting else Conflict.Ordered)
   in
-  let t = Ci.create spec in
-  Ci.add t (pid 1) (C { id = 1; klass = 0 });
+  let probe tracked p =
+    Conflict.blocked spec
+      ~occupancy:(occupancy_of spec (p :: tracked))
+      (spec.Conflict.classify p)
+  in
+  let c1 = C { id = 1; klass = 0 } and o2 = C { id = 2; klass = 1 } in
   Alcotest.(check bool)
     "commuting occupant does not block commuting" false
-    (Ci.blocked t ~excluding:(pid 9) (C { id = 9; klass = 0 }));
+    (probe [ c1 ] (C { id = 9; klass = 0 }));
   Alcotest.(check bool)
     "commuting occupant blocks ordered" true
-    (Ci.blocked t ~excluding:(pid 9) (C { id = 9; klass = 1 }));
-  Ci.add t (pid 2) (C { id = 2; klass = 1 });
+    (probe [ c1 ] (C { id = 9; klass = 1 }));
   Alcotest.(check bool)
     "ordered occupant blocks commuting" true
-    (Ci.blocked t ~excluding:(pid 9) (C { id = 9; klass = 0 }))
+    (probe [ c1; o2 ] (C { id = 9; klass = 0 }))
 
-let test_indexed_rejects_zero_classes () =
-  match Conflict.indexed ~classes:0 ~classify:klass_of ~matrix:(fun _ _ -> true) with
+let test_make_rejects_bad_specs () =
+  (match
+     Conflict.make ~classes:0 ~classify:klass_of ~matrix:(fun _ _ -> true)
+   with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "classes = 0 must be rejected"
+  | _ -> Alcotest.fail "classes = 0 must be rejected");
+  match
+    Conflict.make ~classes:2 ~classify:klass_of ~matrix:(fun a b -> a < b)
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "an asymmetric matrix must be rejected"
 
 let suite =
   [
     ( "conflict-index",
       [
-        QCheck_alcotest.to_alcotest prop_scan_classes_agree;
+        QCheck_alcotest.to_alcotest prop_probe_agrees_with_scan;
         Alcotest.test_case "empty index never blocks" `Quick
           test_empty_never_blocks;
         Alcotest.test_case "self exclusion" `Quick test_self_exclusion;
@@ -186,10 +191,8 @@ let suite =
           test_total_conflict_degenerates_to_abcast;
         Alcotest.test_case "commuting never blocks" `Quick
           test_commuting_never_blocks;
-        Alcotest.test_case "idempotent add, tolerant remove" `Quick
-          test_idempotent_add_single_remove;
         Alcotest.test_case "two-class stack spec" `Quick test_two_class_spec;
         Alcotest.test_case "rejects zero classes" `Quick
-          test_indexed_rejects_zero_classes;
+          test_make_rejects_bad_specs;
       ] );
   ]

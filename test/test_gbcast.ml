@@ -21,8 +21,7 @@ let classify = function
   | Order _ -> Conflict.Ordered
   | _ -> Conflict.Ordered
 
-let build ?(conflict = Conflict.by_class ~classify)
-    ?(spec = Conflict.of_relation conflict) w =
+let build ?(conflict = Conflict.two_class ~classify) w =
   let n = Array.length w.nodes in
   let logs = Array.make n [] in
   let abs =
@@ -37,7 +36,7 @@ let build ?(conflict = Conflict.by_class ~classify)
       (fun i node ->
         let gb =
           Gb.create node.proc ~rc:node.rc ~rb:node.rb ~ab:abs.(i)
-            ~conflict:spec ~members:(ids n) ()
+            ~conflict ~members:(ids n) ()
         in
         Gb.on_deliver gb (fun ~origin:_ payload ->
             logs.(i) <- payload :: logs.(i));
@@ -68,7 +67,7 @@ let assert_generic_order ~conflict logs is =
         (fun v (ia, ma) ->
           Hashtbl.iter
             (fun v' (ia', ma') ->
-              if v < v' && conflict ma ma' then
+              if v < v' && Conflict.conflicts conflict ma ma' then
                 match (Hashtbl.find_opt tb v, Hashtbl.find_opt tb v') with
                 | Some (ib, _), Some (ib', _) ->
                     check_bool
@@ -113,7 +112,7 @@ let test_same_delivered_set_any_relation () =
 let test_generic_order_class_relation () =
   for_seeds ~count:10 (fun seed ->
       let w = make_world ~seed ~n:3 () in
-      let conflict = Conflict.by_class ~classify in
+      let conflict = Conflict.two_class ~classify in
       let gbs, logs = build ~conflict w in
       for k = 0 to 11 do
         let payload = if k mod 4 = 0 then Order k else Update k in
@@ -161,7 +160,7 @@ let test_conflict_triggers_exactly_stage_change () =
     check_int "both delivered" 2 (List.length (seq logs i));
     check_bool "stage advanced" true (Gb.stage gbs.(i) >= 1)
   done;
-  assert_generic_order ~conflict:(Conflict.by_class ~classify) logs [ 0; 1; 2 ]
+  assert_generic_order ~conflict:(Conflict.two_class ~classify) logs [ 0; 1; 2 ]
 
 let test_resumes_fast_path_after_conflict () =
   let w = make_world ~n:3 () in
@@ -201,7 +200,7 @@ let test_crash_tolerated_n4 () =
           3
           (List.length (seq logs i))
       done;
-      assert_generic_order ~conflict:(Conflict.by_class ~classify) logs [ 0; 1; 2 ])
+      assert_generic_order ~conflict:(Conflict.two_class ~classify) logs [ 0; 1; 2 ])
 
 let test_fig8_scenario_two_outcomes () =
   (* Figure 8 of the paper: an update and a primary-change are broadcast
@@ -234,11 +233,11 @@ let test_fig8_scenario_two_outcomes () =
 
 (* The ack tallies forget delivered messages: after 10k commuting
    messages at n = 4 (quorum 3, so every message gets a late fourth ack
-   after it is delivered) no tally is left behind.  The indexed relation
-   keeps the conflict probe O(classes) over the long conflict-free stage. *)
+   after it is delivered) no tally is left behind.  The class counters
+   keep the conflict probe O(classes) over the long conflict-free stage. *)
 let test_ack_tallies_bounded () =
   let w = make_world ~n:4 () in
-  let gbs, logs = build ~spec:(Conflict.two_class ~classify) w in
+  let gbs, logs = build w in
   let total = 10_000 in
   for k = 0 to total - 1 do
     ignore
@@ -283,7 +282,7 @@ let latency_on_origin_clock batch_max =
     Array.mapi
       (fun i node ->
         Gb.create node.proc ~rc:node.rc ~rb:node.rb ~ab:abs.(i)
-          ~conflict:(Conflict.of_relation (Conflict.by_class ~classify))
+          ~conflict:(Conflict.two_class ~classify)
           ~batch_max ~members:(ids n) ())
       w.nodes
   in
@@ -325,7 +324,7 @@ let prop_generic_order_random =
   QCheck.Test.make ~name:"generic order across random mixed workloads" ~count:8
     QCheck.(pair small_nat (int_range 1 3))
     (fun (seed, order_every) ->
-      let conflict = Conflict.by_class ~classify in
+      let conflict = Conflict.two_class ~classify in
       let n = 3 in
       let w = make_world ~seed:(Int64.of_int ((seed * 131) + 3)) ~n () in
       let gbs, logs = build ~conflict w in

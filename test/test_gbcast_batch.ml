@@ -132,7 +132,7 @@ let prop_batched_equiv_unbatched =
       let ops = List.map (fun c -> c mod classes) raw_ops in
       let matrix = matrix_of ~classes bits in
       let conflict =
-        Conflict.indexed ~classes ~classify:op_klass ~matrix
+        Conflict.make ~classes ~classify:op_klass ~matrix
       in
       let seed = Int64.of_int (9000 + s) in
       let batched =
@@ -153,7 +153,7 @@ let prop_batched_equiv_unbatched =
 let test_batched_all_commuting () =
   for_seeds ~count:4 (fun seed ->
       let conflict =
-        Conflict.indexed ~classes:1 ~classify:op_klass
+        Conflict.make ~classes:1 ~classify:op_klass
           ~matrix:(fun _ _ -> false)
       in
       let ops = List.init 9 (fun _ -> 0) in
@@ -167,7 +167,7 @@ let test_batched_all_commuting () =
 let test_batched_total_conflict () =
   for_seeds ~count:4 (fun seed ->
       let conflict =
-        Conflict.indexed ~classes:1 ~classify:op_klass
+        Conflict.make ~classes:1 ~classify:op_klass
           ~matrix:(fun _ _ -> true)
       in
       let ops = List.init 7 (fun _ -> 0) in

@@ -32,7 +32,7 @@ let build ?(ack_mode = Gb.All_members) w =
         in
         let gb =
           Gb.create node.proc ~rc:node.rc ~rb:node.rb ~ab
-            ~conflict:(Conflict.of_relation (Conflict.by_class ~classify))
+            ~conflict:(Conflict.two_class ~classify)
             ~ack_mode ~members:(ids n) ()
         in
         Gb.on_deliver gb (fun ~origin:_ payload -> logs.(i) <- payload :: logs.(i));

@@ -218,7 +218,7 @@ let test_kv_per_key_conflicts () =
             in
             let gb =
               Gb.create node.proc ~rc:node.rc ~rb:node.rb ~ab
-                ~conflict:(Gc_gbcast.Conflict.of_relation Sm.Kv.conflict)
+                ~conflict:Sm.Kv.conflict
                 ~members:(ids n) ()
             in
             Gb.on_deliver gb (fun ~origin:_ payload ->

@@ -8,6 +8,7 @@ module Netsim = Gc_net.Netsim
 module Trace = Gc_sim.Trace
 module View = Gc_membership.View
 module Sm = Gc_replication.State_machine
+module Conflict = Gc_gbcast.Conflict
 module Replica = Gc_server.Replica
 module Proto = Gc_server.Proto
 module Kv = Gc_server.Kv
@@ -62,7 +63,44 @@ let prop_kv_conflict_symmetric =
         if put then Sm.Kv.Put { key = k; data = "x" } else Sm.Kv.Get { key = k }
       in
       let a = mk aput ka and b = mk bput kb in
-      Sm.Kv.conflict a b = Sm.Kv.conflict b a)
+      Conflict.conflicts Sm.Kv.conflict a b
+      = Conflict.conflicts Sm.Kv.conflict b a)
+
+(* The Kv class specification is the per-key relation up to key buckets.
+   "alpha" and "beta" fall in distinct buckets; among 33 distinct keys two
+   must share one of the 32 buckets, and their puts are ordered. *)
+let test_kv_conflict_relation () =
+  let conflicts = Conflict.conflicts Sm.Kv.conflict in
+  let put key = Sm.Kv.Put { key; data = "x" } and get key = Sm.Kv.Get { key } in
+  check_bool "same-key puts conflict" true
+    (conflicts (put "alpha") (put "alpha"));
+  check_bool "same-key put/get conflict" true
+    (conflicts (put "alpha") (get "alpha"));
+  check_bool "same-key get/put conflict" true
+    (conflicts (get "alpha") (put "alpha"));
+  check_bool "gets commute" false (conflicts (get "alpha") (get "alpha"));
+  check_bool "distinct-bucket puts commute" false
+    (conflicts (put "alpha") (put "beta"));
+  check_bool "distinct-bucket put/get commute" false
+    (conflicts (put "alpha") (get "beta"));
+  check_bool "other payloads conflict" true
+    (conflicts Sm.Kv.Kv_unit (get "alpha"));
+  let keys = List.init 33 (Printf.sprintf "k%d") in
+  let pairs =
+    List.concat_map
+      (fun a ->
+        List.filter_map (fun b -> if a < b then Some (a, b) else None) keys)
+      keys
+  in
+  let shared = List.filter (fun (a, b) -> conflicts (put a) (put b)) pairs in
+  check_bool "two distinct keys in one bucket conflict" true (shared <> []);
+  List.iter
+    (fun (a, b) ->
+      check_bool "bucket mates' put/get conflict" true
+        (conflicts (put a) (get b)))
+    shared;
+  check_bool "most distinct keys commute" true
+    (List.length shared < List.length pairs / 2)
 
 (* ---------- shared world for client/replica scenarios ---------- *)
 
@@ -409,6 +447,8 @@ let suite =
           test_bank_snapshot_roundtrip;
         QCheck_alcotest.to_alcotest prop_deposits_commute;
         QCheck_alcotest.to_alcotest prop_kv_conflict_symmetric;
+        Alcotest.test_case "kv conflict relation" `Quick
+          test_kv_conflict_relation;
         Alcotest.test_case "active basic" `Quick test_active_basic;
         Alcotest.test_case "active contact crash exactly-once" `Slow
           test_active_contact_crash_exactly_once;
