@@ -115,6 +115,8 @@ type t = {
   mutable cur_epoch : epoch;
   mutable epoch_counter : int;
   mutable my_flush : flush option;
+  mutable early_flresp : (epoch * int * vsmsg list) list;
+      (* Phoenix: responses to a flush whose [Tr_flreq] has not arrived *)
   mutable consensus : Consensus.t option; (* Phoenix mode only *)
   mutable pending_joins : (int * bool) list; (* (p, rejoin) *)
   mutable pending_leaves : int list;
@@ -429,6 +431,8 @@ and start_flush t proposal joiners =
 
 and adopt_flush t epoch =
   if epoch_gt epoch t.cur_epoch then t.cur_epoch <- epoch;
+  t.early_flresp <-
+    List.filter (fun (e, _, _) -> not (epoch_gt t.cur_epoch e)) t.early_flresp;
   start_block t;
   (* If no install arrives (coordinator crashed mid-flush), retry from the
      current suspicion picture. *)
@@ -461,6 +465,15 @@ and handle_flreq t ~src ~epoch ~proposal =
         in
         t.my_flush <- Some f;
         Hashtbl.replace f.responses (me t) (unstable_list t);
+        let early, later =
+          List.partition (fun (e, _, _) -> e = epoch) t.early_flresp
+        in
+        t.early_flresp <- later;
+        List.iter
+          (fun (_, q, l) ->
+            if not (Hashtbl.mem f.responses q) then
+              Hashtbl.replace f.responses q l)
+          early;
         List.iter
           (fun q ->
             if q <> me t && List.mem q old_members then
@@ -476,6 +489,13 @@ and handle_flresp t ~src ~epoch ~unstable =
         Hashtbl.replace f.responses src unstable;
         check_flush_complete t
       end
+  | _ when epoch_gt epoch t.cur_epoch ->
+      (* Phoenix: every old member sends its response to every other, and
+         FIFO holds only per sender, so a peer's response can overtake the
+         initiator's [Tr_flreq].  Dropping it would leave this member's
+         merge incomplete forever, and the consensus over the old view
+         would wait on its proposal; keep it until the request arrives. *)
+      t.early_flresp <- (epoch, src, unstable) :: t.early_flresp
   | _ -> ()
 
 and check_flush_complete t =
@@ -714,6 +734,7 @@ let create runtime ~id ~initial ?(config = default_config)
       cur_epoch = (0, -1);
       epoch_counter = 0;
       my_flush = None;
+      early_flresp = [];
       consensus = None;
       pending_joins = [];
       pending_leaves = [];

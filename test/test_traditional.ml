@@ -260,6 +260,56 @@ let test_phoenix_sequencer_crash () =
       check_list_int "agree" h1 (hist ordered 3);
       check_list_int "all ordered ops" [ 1; 2; 3 ] (List.sort compare h1))
 
+let test_phoenix_early_flush_response () =
+  (* Regression: in Phoenix every old member sends its flush response to
+     every other, and FIFO holds only per sender, so a peer's response can
+     overtake the initiator's request.  A member that dropped it never
+     completed its merge, never proposed, and the consensus over the old
+     view blocked every survivor forever.  Over seeds 1..40, both the
+     sequencer-crash shape and the wrongly-excluded shape land such an
+     overtake on some seeds. *)
+  let config = { phoenix_config with fd_timeout = 300.0 } in
+  for s = 1 to 40 do
+    let engine, _net, stacks, ordered, _ =
+      make ~config ~n:4 ~seed:(Int64.of_int s) ()
+    in
+    Tr.abcast stacks.(1) (Op 1);
+    ignore
+      (Engine.schedule engine ~delay:100.0 (fun () -> Tr.crash stacks.(0)));
+    ignore
+      (Engine.schedule engine ~delay:300.0 (fun () ->
+           Tr.abcast stacks.(1) (Op 2);
+           Tr.abcast stacks.(2) (Op 3)));
+    Engine.run ~until:30_000.0 engine;
+    for i = 1 to 3 do
+      check_list_int
+        (Printf.sprintf "seed %d: survivor %d installed the view" s i)
+        [ 1; 2; 3 ]
+        (List.sort compare (Tr.view stacks.(i)).View.members);
+      check_list_int
+        (Printf.sprintf "seed %d: survivor %d ordered every op" s i)
+        [ 1; 2; 3 ]
+        (List.sort compare (hist ordered i))
+    done
+  done;
+  let config = { config with state_transfer_delay = 50.0 } in
+  for s = 1 to 40 do
+    let engine, net, stacks, ordered, _ =
+      make ~config ~n:4 ~seed:(Int64.of_int s) ()
+    in
+    Tr.abcast stacks.(0) (Op 1);
+    Netsim.delay_spike net ~nodes:[ 2 ] ~until:1200.0 ~extra:600.0;
+    ignore
+      (Engine.schedule engine ~delay:5_000.0 (fun () ->
+           Tr.abcast stacks.(0) (Op 2)));
+    Engine.run ~until:60_000.0 engine;
+    check_bool (Printf.sprintf "seed %d: rejoined" s) true
+      (Tr.is_member stacks.(2));
+    check_list_int
+      (Printf.sprintf "seed %d: history intact" s)
+      (hist ordered 0) (hist ordered 2)
+  done
+
 let test_phoenix_view_synchrony_cut () =
   for_seeds ~count:5 (fun seed ->
       let config = { phoenix_config with fd_timeout = 300.0 } in
@@ -317,6 +367,8 @@ let suite =
         Alcotest.test_case "phoenix: total order" `Quick test_phoenix_total_order;
         Alcotest.test_case "phoenix: sequencer crash" `Slow
           test_phoenix_sequencer_crash;
+        Alcotest.test_case "phoenix: early flush response kept" `Slow
+          test_phoenix_early_flush_response;
         Alcotest.test_case "phoenix: view synchrony cut" `Slow
           test_phoenix_view_synchrony_cut;
         Alcotest.test_case "phoenix: wrongly excluded rejoins" `Quick
