@@ -230,13 +230,14 @@ let gbcast ~name ~config ~submit ~n ~count =
    no simulator engine involved — so the cell is built without
    [measure]. *)
 let log_recovery ~count =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (* Fixed width: the cold open below allocates this path, so its
-         length must not vary with the pid. *)
-      (Printf.sprintf "gcs_perf_recovery_%07d_%d" (Unix.getpid ()) count)
-  in
+  (* The cold open below allocates paths built from [dir], so its length
+     must not vary with the host: the directory is opened relative to the
+     temp dir (whatever its path), under a name of fixed width (whatever
+     the pid). *)
+  let dir = Printf.sprintf "gcs_perf_recovery_%07d_%d" (Unix.getpid ()) count in
+  let cwd = Sys.getcwd () in
+  Sys.chdir (Filename.get_temp_dir_name ());
+  Fun.protect ~finally:(fun () -> Sys.chdir cwd) @@ fun () ->
   let st = Gc_runtime_unix.Fstore.open_dir ~dir () in
   for k = 0 to count - 1 do
     ignore

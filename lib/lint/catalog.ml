@@ -321,7 +321,7 @@ let metrics =
     g "gbcast.conflict_class_occupancy";
     (* rbcast / rchannel *)
     c "rbcast.broadcasts"; c "rbcast.delivered";
-    c "rchannel.sends"; c "rchannel.retransmissions";
+    c "rchannel.sends"; c "rchannel.acks"; c "rchannel.retransmissions";
     h "rchannel.retransmit_burst"; c "rchannel.stale_gen_ignored";
     g "rchannel.window_occupancy"; g "rchannel.window_peak";
     c "rchannel.stuck_detections"; c "rchannel.stream_resets";

@@ -73,6 +73,7 @@ type incoming = {
   mutable gen : int;
   mutable expected : int; (* next in-order seq to deliver *)
   buffer : (int, Gc_net.Payload.t) Hashtbl.t; (* out-of-order arrivals *)
+  mutable ack_owed : bool; (* an ack timer is armed for this stream *)
 }
 
 type t = {
@@ -87,6 +88,7 @@ type t = {
   mutable on_stuck : (dst:int -> age:float -> unit) option;
   loopback : Gc_net.Payload.t Queue.t; (* self-sends awaiting their 0-delay hop *)
   sends : Gc_obs.Metrics.counter;
+  acks : Gc_obs.Metrics.counter;
   window_occupancy : Gc_obs.Metrics.gauge;
   window_peak : Gc_obs.Metrics.gauge;
 }
@@ -104,6 +106,10 @@ let backoff_cap = 3
    [forget] and [renumber] bump within the epoch's block; 2^20 bumps per
    boot is unreachable. *)
 let gen_bits = 20
+
+(* One ack per stream per [ack_delay] instead of one per data frame: the
+   first frame that leaves a stream owing an ack arms the timer. *)
+let ack_delay = 5.0
 
 let retx_interval t p = t.rto *. float_of_int (1 lsl min p.tries backoff_cap)
 
@@ -132,12 +138,22 @@ let incoming_for t src =
   match Hashtbl.find_opt t.inc src with
   | Some i -> i
   | None ->
-      let i = { gen = 0; expected = 0; buffer = Hashtbl.create 8 } in
+      let i =
+        { gen = 0; expected = 0; buffer = Hashtbl.create 8; ack_owed = false }
+      in
       Hashtbl.replace t.inc src i;
       i
 
 let deliver t ~src inner =
   List.iter (fun f -> f ~src inner) t.subscribers
+
+(* Cumulative ack: everything below [expected] has been delivered.  Sent
+   from the stream's ack timer, so it reads the state at firing time. *)
+let send_ack t ~src (i : incoming) =
+  i.ack_owed <- false;
+  Gc_obs.Metrics.bump t.acks;
+  Process.send t.proc ~dst:src
+    (Rc_ack { gen = i.gen; cum = i.expected - 1; repoch = t.epoch })
 
 let handle_data t ~src ~gen ~seq ~inner =
   let i = incoming_for t src in
@@ -177,9 +193,13 @@ let handle_data t ~src ~gen ~seq ~inner =
       | None -> ()
     in
     flush ();
-    (* Cumulative ack: everything below [expected] has been delivered. *)
-    Process.send t.proc ~dst:src
-      (Rc_ack { gen = i.gen; cum = i.expected - 1; repoch = t.epoch })
+    (* A duplicate owes an ack too: the sender retransmitted because it
+       has not seen one. *)
+    if not i.ack_owed then begin
+      i.ack_owed <- true;
+      ignore
+        (Process.timer t.proc ~delay:ack_delay (fun () -> send_ack t ~src i))
+    end
   end
 
 (* Paced resend toward one destination: at most [max_burst] due packets
@@ -306,6 +326,7 @@ let create proc ?(epoch = 0) ?(rto = 50.0) ?(stuck_after = 10_000.0)
       on_stuck = None;
       loopback = Queue.create ();
       sends = Gc_obs.Metrics.counter_handle metrics "rchannel.sends";
+      acks = Gc_obs.Metrics.counter_handle metrics "rchannel.acks";
       window_occupancy =
         Gc_obs.Metrics.gauge_handle metrics "rchannel.window_occupancy";
       window_peak = Gc_obs.Metrics.gauge_handle metrics "rchannel.window_peak";
@@ -314,6 +335,7 @@ let create proc ?(epoch = 0) ?(rto = 50.0) ?(stuck_after = 10_000.0)
   (* Pre-register the headline counters so merged reports carry them even
      when nothing fired (absent and zero must read the same). *)
   Process.incr ~by:0 proc "rchannel.sends";
+  Process.incr ~by:0 proc "rchannel.acks";
   Process.incr ~by:0 proc "rchannel.retransmissions";
   Process.incr ~by:0 proc "rchannel.stream_resets";
   Process.on_receive proc (fun ~src payload ->

@@ -45,7 +45,17 @@ val create :
     per-packet exponential backoff (rto, 2rto, 4rto, capped at 8rto), and at
     most [max_burst] packets (default 64) are resent per destination per
     tick — a large backlog decays instead of storming the network every
-    [rto]. *)
+    [rto].  [rto] must exceed {!ack_delay} plus the round trip. *)
+
+val ack_delay : float
+(** 5 ms.  Acknowledgements are cumulative and delayed, as TCP's are: a
+    stream that receives data arms one timer of [ack_delay], and its
+    firing sends a single ack covering everything delivered by then (a
+    retransmitted duplicate arms it too, so it is re-acked within
+    [ack_delay]).  An ack therefore lags its data by at most [ack_delay],
+    and an [rto] below [ack_delay] plus the round trip would resend every
+    packet once before its ack lands.  Every caller uses an [rto] of at
+    least 50 ms. *)
 
 val send : t -> dst:int -> Gc_net.Payload.t -> unit
 (** Enqueue [payload] for reliable FIFO delivery at [dst].  Sending to

@@ -219,6 +219,11 @@ let test_renumber_paced_after_peer_restart () =
     (List.init window (fun i -> i + 1))
     (List.rev !log);
   check_int "window drained" 0 (Rc.unacked rc0 ~dst:1);
+  let count proc name = Gc_obs.Metrics.counter (Process.metrics proc) name in
+  check_int "stream renumbered once" 1 (count proc0 "rchannel.stream_resets");
+  check_bool "reborn node coalesced its acks" true
+    (let acks = count proc1b "rchannel.acks" in
+     acks >= 1 && acks < window);
   (* With a constant link delay, frames sent in one instant arrive in one
      instant, so per-instant arrivals at the reborn node bound the
      sender's burst size.  Factor 2 allows the post-renumber inline burst
@@ -244,6 +249,92 @@ let test_renumber_paced_after_peer_restart () =
         Alcotest.failf "burst of %d frames at t=%.3f exceeds max_burst pacing"
           n time)
     arrivals
+
+(* ---------- delayed cumulative acks ---------- *)
+
+let ack_delay = Rc.ack_delay
+
+(* A world whose runtime logs every rchannel frame as
+   (send time, src, printed form). *)
+let frame_world ?(delay = Gc_net.Delay.Constant 1.0) ~n () =
+  let sent = ref [] in
+  let wrap _ (base : Gc_kernel.Runtime.t) =
+    {
+      base with
+      Gc_kernel.Runtime.send =
+        (fun ~src ~dst p ->
+          let s = Gc_net.Payload.to_string p in
+          if String.starts_with ~prefix:"rc." s then
+            sent := (base.Gc_kernel.Runtime.now (), src, s) :: !sent;
+          base.Gc_kernel.Runtime.send ~src ~dst p);
+    }
+  in
+  let w = make_world ~delay ~wrap ~n () in
+  (w, fun () -> List.rev !sent)
+
+let acks_from frames src =
+  List.filter
+    (fun (_, q, s) -> q = src && String.starts_with ~prefix:"rc.ack" s)
+    frames
+
+let test_burst_one_cumulative_ack () =
+  let w, frames = frame_world ~n:2 () in
+  let log = ref [] in
+  Rc.on_deliver w.nodes.(1).rc (nums log);
+  let k = 10 in
+  for i = 1 to k do
+    Rc.send w.nodes.(0).rc ~dst:1 (Num i)
+  done;
+  run_until w 1_000.0;
+  check_list_int "burst delivered" (List.init k (fun i -> i + 1)) (List.rev !log);
+  (match acks_from (frames ()) 1 with
+  | [ (at, _, s) ] ->
+      Alcotest.(check string) "the ack covers the whole burst" "rc.ack#0<=9" s;
+      check_bool "sent one ack_delay after the burst landed" true
+        (Float.abs (at -. (1.0 +. ack_delay)) < 1e-9)
+  | l -> Alcotest.failf "expected exactly one ack, got %d" (List.length l));
+  check_int "rchannel.acks" 1 (counter w 1 "rchannel.acks");
+  check_int "window released" 0 (Rc.unacked w.nodes.(0).rc ~dst:1)
+
+let test_duplicate_reacked () =
+  (* The first ack is lost, so the sender retransmits at its rto tick; the
+     duplicate arrives at an idle stream and must arm a fresh ack. *)
+  let w, frames = frame_world ~n:2 () in
+  Netsim.set_link w.net ~src:1 ~dst:0 ~drop:1.0 ();
+  Rc.send w.nodes.(0).rc ~dst:1 (Num 1);
+  ignore
+    (Engine.schedule w.engine ~delay:20.0 (fun () ->
+         Netsim.set_link w.net ~src:1 ~dst:0 ~drop:0.0 ()));
+  run_until w 1_000.0;
+  check_int "one retransmission" 1 (counter w 0 "rchannel.retransmissions");
+  check_int "window released" 0 (Rc.unacked w.nodes.(0).rc ~dst:1);
+  let retx =
+    match
+      List.filter
+        (fun (_, q, s) -> q = 0 && String.starts_with ~prefix:"rc.data" s)
+        (frames ())
+    with
+    | [ _; (at, _, _) ] -> at
+    | l -> Alcotest.failf "expected 2 copies of the frame, got %d" (List.length l)
+  in
+  match acks_from (frames ()) 1 with
+  | [ _; (at, _, _) ] ->
+      check_bool "re-acked within ack_delay of the duplicate's arrival" true
+        (at > retx && at <= retx +. 1.0 +. ack_delay)
+  | l -> Alcotest.failf "expected 2 acks, got %d" (List.length l)
+
+let test_crash_with_owed_ack_sends_nothing () =
+  let w, frames = frame_world ~n:2 () in
+  Rc.send w.nodes.(0).rc ~dst:1 (Num 1);
+  (* The frame lands at t = 1; its ack would leave at t = 6. *)
+  ignore
+    (Engine.schedule w.engine ~delay:3.0 (fun () ->
+         Process.crash w.nodes.(1).proc));
+  run_until w 1_000.0;
+  check_int "no ack left the crashed process" 0
+    (List.length (acks_from (frames ()) 1));
+  check_int "rchannel.acks" 0 (counter w 1 "rchannel.acks");
+  check_int "still unacked" 1 (Rc.unacked w.nodes.(0).rc ~dst:1)
 
 let prop_reliable_fifo_random_loss =
   QCheck.Test.make ~name:"reliable FIFO for random seeds and loss rates"
@@ -285,6 +376,12 @@ let suite =
           test_stale_generation_not_acked;
         Alcotest.test_case "renumber paced after peer restart" `Quick
           test_renumber_paced_after_peer_restart;
+        Alcotest.test_case "burst gets one cumulative ack" `Quick
+          test_burst_one_cumulative_ack;
+        Alcotest.test_case "duplicate re-acked within ack_delay" `Quick
+          test_duplicate_reacked;
+        Alcotest.test_case "crash with an owed ack sends nothing" `Quick
+          test_crash_with_owed_ack_sends_nothing;
         QCheck_alcotest.to_alcotest prop_reliable_fifo_random_loss;
       ] );
   ]

@@ -166,6 +166,17 @@ let () =
       let k = Wire.read_varint r in
       Wop { klass; k })
 
+(* The simulator runtime, with every datagram sent through it logged. *)
+let capturing captured net ~trace =
+  let base = Runtime.of_netsim net ~trace in
+  {
+    base with
+    Runtime.send =
+      (fun ~src ~dst p ->
+        captured := p :: !captured;
+        base.Runtime.send ~src ~dst p);
+  }
+
 let capture_mode_payloads ack_mode =
   let n = 3 in
   let engine = Engine.create ~seed:4242L () in
@@ -178,17 +189,7 @@ let capture_mode_payloads ack_mode =
       | _ -> Conflict.Ordered)
   in
   let make_node i =
-    let base = Runtime.of_netsim net ~trace in
-    let runtime =
-      {
-        base with
-        Runtime.send =
-          (fun ~src ~dst p ->
-            captured := p :: !captured;
-            base.Runtime.send ~src ~dst p);
-      }
-    in
-    let proc = Process.create runtime ~id:i in
+    let proc = Process.create (capturing captured net ~trace) ~id:i in
     let fd = Fd.create proc ~hb_period:20.0 ~peers:(ids n) () in
     let rc = Rc.create proc ~rto:50.0 ~stuck_after:10_000.0 () in
     let rb = Rb.create proc rc in
@@ -238,18 +239,8 @@ let capture_stack_payloads () =
   let config = Stack.Config.make ~exclusion_timeout:500.0 () in
   let stacks =
     Array.init n (fun id ->
-        let base = Runtime.of_netsim net ~trace in
-        let runtime =
-          {
-            base with
-            Runtime.send =
-              (fun ~src ~dst p ->
-                captured := p :: !captured;
-                base.Runtime.send ~src ~dst p);
-          }
-        in
         (* node 3 joins later: it starts from the founders' view *)
-        Stack.create runtime ~id ~initial:[ 0; 1; 2 ] ~config ())
+        Stack.create (capturing captured net ~trace) ~id ~initial:[ 0; 1; 2 ] ~config ())
   in
   let at time f = ignore (Engine.schedule_at engine ~time f) in
   at 100.0 (fun () ->
@@ -261,6 +252,28 @@ let capture_stack_payloads () =
   Engine.run ~until:6_000.0 engine;
   List.rev !captured
 
+(* A stream whose first frame is lost: the delayed ack finds seq 1 in the
+   reorder buffer and nothing delivered, so it carries [cum = -1], the one
+   negative varint on the rchannel wire.  The retransmission then fills
+   the gap. *)
+let capture_gap_ack_payloads () =
+  let engine = Engine.create ~seed:4244L () in
+  let trace = Trace.create ~enabled:false () in
+  let net =
+    Netsim.create engine ~trace ~delay:(Gc_net.Delay.Constant 1.0) ~n:2 ()
+  in
+  let captured = ref [] in
+  let runtime = capturing captured net ~trace in
+  let rcs =
+    Array.init 2 (fun id -> Rc.create (Process.create runtime ~id) ())
+  in
+  Netsim.set_link net ~src:0 ~dst:1 ~drop:1.0 ();
+  Rc.send rcs.(0) ~dst:1 (Wop { klass = 0; k = 0 });
+  Netsim.set_link net ~src:0 ~dst:1 ~drop:0.0 ();
+  Rc.send rcs.(0) ~dst:1 (Wop { klass = 0; k = 1 });
+  Engine.run ~until:1_000.0 engine;
+  List.rev !captured
+
 (* Both quorum modes: All_members cuts straight from the local state, so
    [Gb_state] only crosses the wire in Two_thirds mode. *)
 let capture_hot_path_payloads () =
@@ -268,6 +281,7 @@ let capture_hot_path_payloads () =
     capture_mode_payloads Gb.All_members
     @ capture_mode_payloads Gb.Two_thirds
     @ capture_stack_payloads ()
+    @ capture_gap_ack_payloads ()
   in
   (* Dedupe by printed form: the codec checks are per-shape, not per-copy. *)
   let seen = Hashtbl.create 64 in
@@ -305,6 +319,7 @@ let test_hot_path_codec_coverage () =
       "gb.fast#"; "gb.fastbatch["; "gb.acks["; "gb.state@"; "gb.cut@";
       "cs.est["; "cs.prop["; "cs.ack["; "cs.decide["; "ab.submit[";
       "mb.join_req("; "mb.state("; "mon.suspect("; "mon.retract(";
+      "rc.ack#0<=-1";
     ]
 
 let test_hot_path_codec_roundtrip () =
