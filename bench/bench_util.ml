@@ -1,6 +1,6 @@
 (* Shared machinery for the experiment harness: world builders for both
    architectures, workload generators, fault injectors and measurement
-   helpers.  Every experiment (e1 .. e8) builds on these. *)
+   helpers.  Every experiment (e1 .. e9) builds on these. *)
 
 module Engine = Gc_sim.Engine
 module Trace = Gc_sim.Trace
@@ -36,8 +36,8 @@ type 'stack world = {
 }
 
 (* Every cell records its causal event trace by default so the harness can
-   audit it (see [audit_trace]); the Bechamel micro-benchmarks pass
-   [~record:false] because they measure wall-clock cost. *)
+   audit it (see [audit_trace]); bench/perf.ml passes [~record:false]
+   because it measures cost and a recorded trace would inflate it. *)
 let base_net ?(delay = Delay.lan) ?(record = true) ~seed ~n () =
   let engine = Engine.create ~seed () in
   let trace = Trace.create ~enabled:record ~capacity:500_000 () in
@@ -197,6 +197,17 @@ module Audit = Gc_obs.Audit
    this after all experiments ran and fails the whole run: a bench binary
    exiting non-zero means a recorded history broke a protocol invariant. *)
 let audit_failures = ref 0
+
+(* Verdicts an experiment prints that its own run contradicts.
+   bench/main.ml fails the run on these as on audit failures, so a
+   printed conclusion cannot silently become false. *)
+let claim_failures = ref 0
+
+let check_claim ~experiment ok claim =
+  if not ok then begin
+    incr claim_failures;
+    Printf.printf "\nCLAIM FAILURE [%s]: %s\n" experiment claim
+  end
 
 (* Replay a cell's recorded trace through the offline auditor.  Same-view
    needs each node's full history from time zero, so it is dropped when the

@@ -33,9 +33,13 @@ let () =
           exit 1)
     requested;
   Bench_util.write_metrics_file ();
-  if !Bench_util.audit_failures > 0 then begin
-    Printf.eprintf "\n%d experiment cell(s) FAILED the trace audit\n"
-      !Bench_util.audit_failures;
-    exit 1
-  end;
-  print_endline "all audited experiment cells passed the trace audit"
+  let audits = !Bench_util.audit_failures
+  and claims = !Bench_util.claim_failures in
+  if audits > 0 then
+    Printf.eprintf "\n%d experiment cell(s) FAILED the trace audit\n" audits;
+  if claims > 0 then
+    Printf.eprintf "\n%d experiment claim(s) FAILED on this run\n" claims;
+  if audits > 0 || claims > 0 then exit 1;
+  print_endline
+    "all audited experiment cells passed the trace audit and every checked \
+     claim held"

@@ -21,25 +21,16 @@ module Delivered = Gc_kernel.Delivered_set
 
 type Gc_net.Payload.t +=
   | Ab_batch of msg list
-  | Ab_submit of msg list
-        (* one or more submissions from one origin riding one reliable
-           broadcast; distinct from [Ab_batch], which is a consensus
-           proposal value *)
+  | Ab_submit of msg
+        (* one submission riding one reliable broadcast; distinct from
+           [Ab_batch], which is a consensus proposal value *)
 
 let () =
   Gc_net.Payload.register_printer (function
-    | Ab_submit [ m ] ->
-        (* A lone submission prints as the plain message it carries. *)
+    | Ab_submit m ->
         Some
           (Printf.sprintf "ab.data#%d.%d(%s)" m.origin m.mseq
              (Gc_net.Payload.to_string m.body))
-    | Ab_submit l ->
-        Some
-          (Printf.sprintf "ab.submit[%s]"
-             (String.concat ";"
-                (List.map
-                   (fun m -> Printf.sprintf "%d.%d" m.origin m.mseq)
-                   l)))
     | Ab_batch l ->
         (* Listing the message ids makes the rendering content-distinguishing,
            so equality of the printed form means equality of the batch — the
@@ -72,15 +63,15 @@ let () =
           W.u8 w 1;
           W.list w (write_msg enc) l;
           true
-      | Ab_submit l ->
+      | Ab_submit m ->
           W.u8 w 2;
-          W.list w (write_msg enc) l;
+          write_msg enc w m;
           true
       | _ -> false)
     ~decode:(fun dec r ->
       match W.read_u8 r with
       | 1 -> Ab_batch (W.read_list r (read_msg dec))
-      | 2 -> Ab_submit (W.read_list r (read_msg dec))
+      | 2 -> Ab_submit (read_msg dec r)
       | k -> Gc_net.Payload.malformed (Printf.sprintf "ab constructor %d" k))
 
 type t = {
@@ -96,7 +87,6 @@ type t = {
   mutable proposed : int; (* the last instance this process proposed for *)
   decided_batches : (int, msg list) Hashtbl.t; (* out-of-order decisions *)
   mutable max_solicited : int;
-  submit_batch : msg Batcher.t;
   sent_at : (int, float) Hashtbl.t;
       (* own mseq -> local clock at submit, until local delivery: the
          latency metric's stamp never leaves this process *)
@@ -205,42 +195,30 @@ let on_solicit t ~inst =
   if inst >= t.next_to_apply then try_start t
 
 let create proc ~rc ~rb ~fd ?(suspect_timeout = 200.0) ?(adaptive = false)
-    ?(batch_max = 1) ?(batch_delay = 1.0) ?(epoch = 0) ~members () =
-  if batch_max < 1 then invalid_arg "Atomic_broadcast.create: batch_max < 1";
+    ?(epoch = 0) ~members () =
   let metrics = Process.metrics proc in
-  (* Lazy only to tie the knot: the batcher's emit reads the live member
-     list, and it cannot run before [create] returns. *)
-  let rec t =
-    lazy
-      {
-        proc;
-        rb;
-        consensus = None;
-        member_list = members;
-        next_mseq = Delivered.first_seq ~epoch;
-        next_to_apply = 0;
-        pending = Pending.empty;
-        pending_n = 0;
-        delivered = Delivered.create ();
-        proposed = -1;
-        decided_batches = Hashtbl.create 16;
-        max_solicited = -1;
-        submit_batch =
-          Batcher.create proc ~metric:"abcast.submit_batch_size"
-            ~max_batch:batch_max ~max_delay:batch_delay
-            ~emit:(fun ms ->
-              let t = Lazy.force t in
-              Rb.broadcast t.rb ~dests:t.member_list (Ab_submit ms))
-            ();
-        sent_at = Hashtbl.create 64;
-        subscribers = [];
-        n_delivered = 0;
-        c_submitted = Gc_obs.Metrics.counter_handle metrics "abcast.submitted";
-        c_delivered = Gc_obs.Metrics.counter_handle metrics "abcast.delivered";
-        g_pending = Gc_obs.Metrics.gauge_handle metrics "abcast.pending_size";
-      }
+  let t =
+    {
+      proc;
+      rb;
+      consensus = None;
+      member_list = members;
+      next_mseq = Delivered.first_seq ~epoch;
+      next_to_apply = 0;
+      pending = Pending.empty;
+      pending_n = 0;
+      delivered = Delivered.create ();
+      proposed = -1;
+      decided_batches = Hashtbl.create 16;
+      max_solicited = -1;
+      sent_at = Hashtbl.create 64;
+      subscribers = [];
+      n_delivered = 0;
+      c_submitted = Gc_obs.Metrics.counter_handle metrics "abcast.submitted";
+      c_delivered = Gc_obs.Metrics.counter_handle metrics "abcast.delivered";
+      g_pending = Gc_obs.Metrics.gauge_handle metrics "abcast.pending_size";
+    }
   in
-  let t = Lazy.force t in
   Process.incr ~by:0 proc "abcast.delivered";
   let consensus =
     Consensus.create proc ~rc ~rb ~fd ~suspect_timeout ~adaptive
@@ -252,20 +230,11 @@ let create proc ~rc ~rb ~fd ?(suspect_timeout = 200.0) ?(adaptive = false)
   t.consensus <- Some consensus;
   Rb.on_deliver rb (fun ~origin:_ payload ->
       match payload with
-      | Ab_submit ms ->
-          (* One pending-set update and one proposal attempt for the whole
-             batch: the point of submit batching. *)
-          let added = ref false in
-          List.iter
-            (fun m ->
-              let id = msg_id m in
-              if not (Delivered.mem t.delivered id || Pending.mem id t.pending)
-              then begin
-                pending_add t id m;
-                added := true
-              end)
-            ms;
-          if !added then begin
+      | Ab_submit m ->
+          let id = msg_id m in
+          if not (Delivered.mem t.delivered id || Pending.mem id t.pending)
+          then begin
+            pending_add t id m;
             note_pending t;
             try_start t
           end
@@ -282,10 +251,9 @@ let abcast t body =
       Process.event t.proc ~component:"abcast" ~kind:Gc_obs.Event.Send
         ~msg:(Printf.sprintf "ab:%d.%d" m.origin m.mseq)
         ();
-    Batcher.add t.submit_batch m
+    Rb.broadcast t.rb ~dests:t.member_list (Ab_submit m)
   end
 
-let flush t = Batcher.flush t.submit_batch
 (* Kept in dispatch order: subscribers run in the order they subscribed. *)
 let on_deliver t f = t.subscribers <- t.subscribers @ [ f ]
 let set_members t members = t.member_list <- members

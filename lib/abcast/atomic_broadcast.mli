@@ -31,8 +31,6 @@ val create :
   fd:Gc_fd.Failure_detector.t ->
   ?suspect_timeout:float ->
   ?adaptive:bool ->
-  ?batch_max:int ->
-  ?batch_delay:float ->
   ?epoch:int ->
   members:int list ->
   unit ->
@@ -48,14 +46,9 @@ val create :
     {!Gc_kernel.Delivered_set.first_seq}[ ~epoch], above every previous
     incarnation's.  (No durable log here: generic broadcast keeps it.)
 
-    [batch_max] (default 1 = unbatched) and [batch_delay] (default 1 ms)
-    batch submissions through a size/tick watermark ({!Batcher}): up to
-    [batch_max] messages from this origin ride one reliable broadcast
-    ([Ab_submit], the only submission shape; with [batch_max = 1] each
-    carries one message) and enter the pending set with a single proposal
-    attempt, amortising the O(n^2) relay cost.  Consensus proposals were
-    already batched (the whole pending set per instance); this batches the
-    {e submission} side too.
+    Each submission rides its own reliable broadcast ([Ab_submit]) at
+    once.  Batching happens at the proposal: each consensus instance
+    decides the whole pending set.
 
     The [abcast.latency_ms] histogram is observed at the origin only, from
     a submit-time stamp this process keeps until it delivers the message;
@@ -69,12 +62,6 @@ val on_deliver : t -> (origin:int -> Gc_net.Payload.t -> unit) -> unit
 (** Subscribe to adeliver events.  Subscribers run synchronously while a
     decision is applied; they may call {!set_members} (membership layer) or
     {!abcast}. *)
-
-val flush : t -> unit
-(** Emit any submissions parked in the batcher immediately instead of
-    waiting for the tick watermark — part of orderly shutdown: without it a
-    submit during the last [batch_delay] before teardown is silently
-    dropped. *)
 
 val set_members : t -> int list -> unit
 (** Replace the member set.  Must only be called from an {!on_deliver}

@@ -101,7 +101,6 @@ type t = {
   rc : Rc.t;
   rb : Rb.t;
   score : Gc_net.Payload.t -> int;
-  round_backoff : float;
   on_decide : inst:int -> Gc_net.Payload.t -> unit;
   on_solicit : inst:int -> unit;
   monitor : Fd.monitor;
@@ -116,6 +115,11 @@ type t = {
   (* Messages for instances not started locally, replayed on [propose]. *)
   backlog : (int, (int * Gc_net.Payload.t) list ref) Hashtbl.t;
 }
+
+(* Suspicion-driven round changes are paced this many ms apart, so a
+   period in which every coordinator is suspected cycles rounds at a
+   bounded rate. *)
+let round_backoff = 25.0
 
 let coord st r = st.members.((r - 1) mod Array.length st.members)
 
@@ -255,7 +259,7 @@ and check_phase3 t inst st =
            decision stop the loop before another full round of estimate
            traffic goes out — same liveness, far fewer messages. *)
         ignore
-          (Process.timer t.proc ~delay:t.round_backoff (fun () ->
+          (Process.timer t.proc ~delay:round_backoff (fun () ->
                if (not st.decided) && st.round = r then
                  enter_round t inst st (r + 1)))
     | None ->
@@ -276,7 +280,7 @@ and check_phase3 t inst st =
              suspected (e.g. during a partition) an immediate re-entry would
              spin through rounds without consuming virtual time. *)
           ignore
-            (Process.timer t.proc ~delay:t.round_backoff (fun () ->
+            (Process.timer t.proc ~delay:round_backoff (fun () ->
                  if (not st.decided) && st.round = r then
                    enter_round t inst st (r + 1)))
         end
@@ -330,7 +334,7 @@ let on_suspicion t _q =
   List.iter (fun (inst, st) -> check_phase3 t inst st) active
 
 let create proc ~rc ~rb ~fd ?(suspect_timeout = 200.0) ?(adaptive = false)
-    ?(round_backoff = 25.0) ?(score = fun _ -> 0) ~on_decide ~on_solicit () =
+    ?(score = fun _ -> 0) ~on_decide ~on_solicit () =
   let states = Hashtbl.create 32 in
   Process.incr ~by:0 proc "consensus.instances_started";
   Process.incr ~by:0 proc "consensus.instances_decided";
@@ -350,7 +354,6 @@ let create proc ~rc ~rb ~fd ?(suspect_timeout = 200.0) ?(adaptive = false)
       rc;
       rb;
       score;
-      round_backoff;
       on_decide;
       on_solicit;
       monitor;

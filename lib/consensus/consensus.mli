@@ -34,7 +34,6 @@ val create :
   fd:Gc_fd.Failure_detector.t ->
   ?suspect_timeout:float ->
   ?adaptive:bool ->
-  ?round_backoff:float ->
   ?score:(Gc_net.Payload.t -> int) ->
   on_decide:(inst:int -> Gc_net.Payload.t -> unit) ->
   on_solicit:(inst:int -> unit) ->
@@ -45,10 +44,9 @@ val create :
     Section 4.3 of the paper.  [adaptive] (default false) replaces the fixed
     timeout with a Chen-style adaptive monitor
     ({!Gc_fd.Failure_detector.adaptive_monitor}) that self-tunes to the
-    observed heartbeat jitter.  [round_backoff] (default 25 ms) paces
-    suspicion-driven round changes so that a period in which every
-    coordinator is suspected (e.g. a partition) cycles rounds at a bounded
-    rate.  [score] breaks ties between same-stamp
+    observed heartbeat jitter.  Suspicion-driven round changes are paced
+    25 ms apart, so that a period in which every coordinator is suspected
+    (e.g. a partition) cycles rounds at a bounded rate.  [score] breaks ties between same-stamp
     estimates in the coordinator's adoption step (higher wins); the atomic
     broadcast layer uses it to prefer non-empty batches so that decided
     batches make progress.  [on_solicit] fires (once per instance) when

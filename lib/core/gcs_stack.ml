@@ -185,8 +185,8 @@ let create runtime ?metrics ~id ~initial ?(config = default_config)
   let rb = Rb.create proc ~epoch:boot_epoch rc in
   let ab =
     Ab.create proc ~rc ~rb ~fd ~suspect_timeout:config.consensus_timeout
-      ~adaptive:config.consensus_adaptive ~batch_max:config.batch_max
-      ~batch_delay:config.batch_delay ~epoch:boot_epoch ~members:initial ()
+      ~adaptive:config.consensus_adaptive ~epoch:boot_epoch ~members:initial
+      ()
   in
   (* Default All_members mode: ordered traffic (including view changes)
      rides the consensus-backed cut path and stays live with f < n/2;
@@ -320,7 +320,6 @@ let crash t = Process.crash t.proc
    silently dropped — then make the log durable, then stop. *)
 let shutdown t =
   Gb.flush t.gb;
-  Ab.flush t.ab;
   (* The flushed broadcasts route through our own reliable channel first
      (the uniform loopback hop); deliver that hop now so they are relayed
      to the peers before the process stops existing. *)
@@ -334,7 +333,6 @@ let process t = t.proc
 let metrics t = Process.metrics t.proc
 let failure_detector t = t.fd
 let reliable_channel t = t.rc
-let reliable_broadcast t = t.rb
 let atomic_broadcast t = t.ab
 let generic_broadcast t = t.gb
 let membership t = t.membership

@@ -58,13 +58,15 @@ type config = {
           design); false is the ablation: view changes ride plain atomic
           broadcast and commuting messages may straddle views (Section 4.4) *)
   batch_max : int;
-      (** submission batching watermark for the ordering layers (default
-          64): up to this many application messages ride one reliable
+      (** generic broadcast's submission batching watermark (default 64):
+          up to this many application messages ride one reliable
           broadcast / one acknowledgement vector, amortising the O(n^2)
           relay and O(n) ack cost per message; 1 disables batching *)
   batch_delay : float;
       (** tick watermark, ms (default 1): a partial batch is flushed this
-          long after its first message, bounding added latency *)
+          long after its first message, bounding added latency.  With
+          [batch_max > 1] it is also the wait before a stage-change cut is
+          proposed ({!Gc_gbcast.Generic_broadcast.create}) *)
 }
 
 val default_config : config
@@ -196,7 +198,7 @@ val crash : t -> unit
 (** Crash-stop the whole process (simulation control). *)
 
 val shutdown : t -> unit
-(** Orderly teardown: flush the ordering layers' submission/ack batchers (a
+(** Orderly teardown: flush generic broadcast's submission/ack batchers (a
     message submitted within [batch_delay] of teardown would otherwise be
     silently dropped), sync the durable log if one is attached, then crash
     the process.  Use {!crash} to model fail-stop. *)
@@ -214,7 +216,6 @@ val metrics : t -> Gc_obs.Metrics.t
 
 val failure_detector : t -> Gc_fd.Failure_detector.t
 val reliable_channel : t -> Gc_rchannel.Reliable_channel.t
-val reliable_broadcast : t -> Gc_rbcast.Reliable_broadcast.t
 val atomic_broadcast : t -> Gc_abcast.Atomic_broadcast.t
 val generic_broadcast : t -> Gc_gbcast.Generic_broadcast.t
 val membership : t -> Gc_membership.Group_membership.t

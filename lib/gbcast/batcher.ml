@@ -32,9 +32,9 @@ let create proc ?metric ~max_batch ~max_delay ~emit () =
 
 let observe t n =
   match t.metric with
-  (* gcs-lint: allow E2 — the name is fixed at Batcher.create sites
-     (abcast.submit_batch_size, gbcast.batch_size, gbcast.ack_batch_size),
-     each a catalogued histogram *)
+  (* gcs-lint: allow E2 — the name is fixed at the two Batcher.create
+     sites in Generic_broadcast.create (gbcast.batch_size,
+     gbcast.ack_batch_size), each a catalogued histogram *)
   | Some m -> Process.observe t.proc m (float_of_int n)
   | None -> ()
 

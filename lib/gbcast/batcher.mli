@@ -1,6 +1,7 @@
-(** Size/tick watermark batching for broadcast submission paths.
+(** Size/tick watermark batching for generic broadcast's submissions and
+    fast-path acknowledgements.
 
-    Ordering layers pay per-{e network message} costs that dwarf per-{e
+    Generic broadcast pays per-{e network message} costs that dwarf per-{e
     application message} costs: a reliable broadcast costs O(n^2) relays
     and a fast-path acknowledgement costs n-1 unicasts, regardless of how
     much application payload rides inside.  A batcher amortises those

@@ -2,7 +2,6 @@ module Process = Gc_kernel.Process
 module Rc = Gc_rchannel.Reliable_channel
 module Rb = Gc_rbcast.Reliable_broadcast
 module Ab = Gc_abcast.Atomic_broadcast
-module Batcher = Gc_abcast.Batcher
 module Delivered = Gc_kernel.Delivered_set
 module Sorted = Gc_sim.Sorted
 
@@ -155,6 +154,7 @@ type t = {
   states : (int, (int, msg list * msg list) Hashtbl.t) Hashtbl.t;
   mutable cut_proposed : int; (* the stage this process proposed a cut for *)
   mutable cut_timer_armed : int; (* the stage its proposal timer waits on *)
+  cut_wait : float; (* hold before even rank 0 proposes; see [try_cut] *)
   submit_batch : msg Batcher.t;
   ack_batch : ((int * int) * int) Batcher.t;
   sent_at : (int, float) Hashtbl.t;
@@ -371,10 +371,14 @@ and record_state t ~src ~stage ~acked ~pending =
    two conflicting messages can both reach the threshold (3C > 2n), so
    [first] is complete and internally conflict-free. *)
 and try_cut t =
-  if member t && t.cut_proposed <> t.stage then begin
+  if member t && t.cut_proposed <> t.stage && t.cut_timer_armed <> t.stage
+  then begin
     (* Stagger proposals by member rank so that normally exactly one cut is
-       broadcast; lower-ranked members take over (after their backoff) if
-       the natural proposer is dead. *)
+       broadcast; higher-ranked members take over (after their backoff) if
+       the natural proposer is dead.  Every rank, rank 0 included, first
+       holds the cut for [cut_wait]: a longer stage cycle lets more ordered
+       messages pile up for the next cut, so each consensus instance orders
+       more of them (DESIGN §15). *)
     let rank =
       let rec idx i = function
         | [] -> 0
@@ -382,18 +386,16 @@ and try_cut t =
       in
       idx 0 t.member_list
     in
-    if rank = 0 then force_cut t
-    else if t.cut_timer_armed <> t.stage then begin
-      t.cut_timer_armed <- t.stage;
-      let stage = t.stage in
-      ignore
-        (Process.timer t.proc ~delay:(float_of_int rank *. cut_backoff)
-           (fun () ->
-             (* Re-armable: if the cut cannot be built yet (states still
-                missing in two-thirds mode), the next recorded state retries. *)
-             if t.cut_timer_armed = stage then t.cut_timer_armed <- -1;
-             if t.stage = stage && t.frozen then force_cut t))
-    end
+    t.cut_timer_armed <- t.stage;
+    let stage = t.stage in
+    ignore
+      (Process.timer t.proc
+         ~delay:(t.cut_wait +. (float_of_int rank *. cut_backoff))
+         (fun () ->
+           (* Re-armable: if the cut cannot be built yet (states still
+              missing in two-thirds mode), the next recorded state retries. *)
+           if t.cut_timer_armed = stage then t.cut_timer_armed <- -1;
+           if t.stage = stage && t.frozen then force_cut t))
   end
 
 and force_cut t =
@@ -563,6 +565,7 @@ let create proc ~rc ~rb ~ab ~conflict ?(ack_mode = Two_thirds)
         states = Hashtbl.create 8;
         cut_proposed = -1;
         cut_timer_armed = -1;
+        cut_wait = (if batch_max = 1 then 0.0 else batch_delay);
         submit_batch =
           Batcher.create proc ~metric:"gbcast.batch_size" ~max_batch:batch_max
             ~max_delay:batch_delay

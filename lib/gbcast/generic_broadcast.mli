@@ -77,7 +77,7 @@ val create :
 (** [ack_mode] defaults to [Two_thirds] (the paper-cited algorithm); the
     full stack uses [All_members] for [f < n/2] robustness.  Stage-change
     proposals are staggered by member rank, 15 ms apart, so that normally a
-    single cut is broadcast.
+    single cut is broadcast; rank 0 proposes after the cut wait below.
 
     [conflict] is a class specification ({!Conflict.t}).  Each tracked
     message's class is computed once and counted per class, so the
@@ -85,12 +85,17 @@ val create :
     ({!Conflict.blocked}), however many messages are pending.
 
     [batch_max] (default 1 = unbatched) and [batch_delay] (default 1 ms)
-    batch submissions through a size/tick watermark ({!Gc_abcast.Batcher}):
+    batch submissions through a size/tick watermark ({!Batcher}):
     up to [batch_max] messages ride one reliable broadcast, and their
     fast-path acknowledgements ride one vector, amortising the O(n^2)
     relay and O(n) ack cost per application message.  Per-sender FIFO is
     preserved; with [batch_max = 1] every message and every ack leaves at
     once in a one-element container, the unbatched protocol's traffic.
+    The same pair sets the cut wait: with [batch_max > 1] every member
+    holds its stage-change proposal [batch_delay] ms after freezing
+    (before its rank's backoff), so the ordered messages that arrive
+    meanwhile wait for the next cut instead of each stage cutting at
+    once; with [batch_max = 1] there is no wait.
 
     [storage], when given, receives one {!Gc_kernel.Storage.Record} per
     g-delivered message, appended between duplicate suppression and the

@@ -58,12 +58,11 @@ let timer t ~delay f =
 
 type periodic = { mutable stopped : bool }
 
-let every t ?(jitter = 0.0) ~period f =
+let every t ~period f =
   let handle = { stopped = false } in
   let rec arm () =
-    let extra = if jitter > 0.0 then rand_float t jitter else 0.0 in
     ignore
-      (t.runtime.Runtime.schedule ~delay:(period +. extra) (fun () ->
+      (t.runtime.Runtime.schedule ~delay:period (fun () ->
            if t.alive && not handle.stopped then begin
              f ();
              arm ()

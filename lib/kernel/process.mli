@@ -57,10 +57,9 @@ val timer : t -> delay:float -> (unit -> unit) -> Runtime.timer
 
 type periodic
 
-val every : t -> ?jitter:float -> period:float -> (unit -> unit) -> periodic
-(** Periodic timer firing each [period] ms (plus uniform jitter in
-    [\[0, jitter\]], default 0).  Stops when cancelled or when the process
-    dies. *)
+val every : t -> period:float -> (unit -> unit) -> periodic
+(** Periodic timer firing each [period] ms.  Stops when cancelled or when
+    the process dies. *)
 
 val cancel_periodic : periodic -> unit
 

@@ -312,7 +312,6 @@ let metrics =
     (* abcast *)
     c "abcast.submitted"; c "abcast.proposals"; h "abcast.batch_size";
     c "abcast.delivered"; h "abcast.latency_ms"; g "abcast.pending_size";
-    h "abcast.submit_batch_size";
     (* gbcast *)
     c "gbcast.submitted"; c "gbcast.fast_deliveries";
     c "gbcast.cut_deliveries"; c "gbcast.delivered"; h "gbcast.latency_ms";

@@ -409,12 +409,12 @@ let render_labels labels extra =
              kvs)
       ^ "}"
 
-let to_prometheus ?(namespace = "gcs") ?(labels = []) t =
+let to_prometheus ?(labels = []) t =
   let buf = Buffer.create 4096 in
   let line fmt = Printf.ksprintf (fun l -> Buffer.add_string buf (l ^ "\n")) fmt in
   List.iter
     (fun name ->
-      let n = prom_name (namespace ^ "_" ^ name) in
+      let n = prom_name ("gcs_" ^ name) in
       match Hashtbl.find t.entries name with
       | Counter r ->
           line "# TYPE %s counter" n;

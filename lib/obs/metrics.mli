@@ -145,10 +145,9 @@ val of_json : Json.t -> t
 (** Inverse of {!to_json} (derived quantiles are recomputed from buckets).
     @raise Invalid_argument when the value is not an object. *)
 
-val to_prometheus :
-  ?namespace:string -> ?labels:(string * string) list -> t -> string
+val to_prometheus : ?labels:(string * string) list -> t -> string
 (** Prometheus text exposition: [# TYPE] comments, dotted metric names
-    mapped to [namespace_layer_metric] (default namespace ["gcs"]),
+    mapped to [gcs_layer_metric],
     histograms as cumulative [_bucket{le="..."}] series plus [_sum] and
     [_count].  [labels] are attached to every sample; label values are
     escaped per the exposition format (backslash, double quote,

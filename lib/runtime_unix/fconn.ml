@@ -239,7 +239,7 @@ let finish_connect t () =
         flush t
   end
 
-let attach ~loop ?metrics ?frame_limit ?(connecting = false) sock ~on_payload
+let attach ~loop ?metrics ?(connecting = false) sock ~on_payload
     ~on_close =
   Unix.set_nonblock sock;
   (try Unix.setsockopt sock Unix.TCP_NODELAY true
@@ -250,7 +250,7 @@ let attach ~loop ?metrics ?frame_limit ?(connecting = false) sock ~on_payload
       sock;
       metrics;
       counters = Option.map counters metrics;
-      decoder = Frame.Decoder.create ?limit:frame_limit ?metrics ();
+      decoder = Frame.Decoder.create ?metrics ();
       body = Buffer.create 256;
       out = Bytes.create 4096;
       out_pos = 0;
@@ -272,11 +272,11 @@ let attach ~loop ?metrics ?frame_limit ?(connecting = false) sock ~on_payload
   if connecting then Evloop.set_write loop sock (Some (finish_connect t));
   t
 
-let listen ~loop ?(backlog = 64) addr ~on_accept =
+let listen ~loop addr ~on_accept =
   let sock = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
   Unix.setsockopt sock Unix.SO_REUSEADDR true;
   Unix.bind sock addr;
-  Unix.listen sock backlog;
+  Unix.listen sock 64;
   Unix.set_nonblock sock;
   let rec accept_ready () =
     match Unix.accept sock with

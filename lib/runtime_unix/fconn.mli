@@ -19,7 +19,6 @@ type t
 val attach :
   loop:Evloop.t ->
   ?metrics:Gc_obs.Metrics.t ->
-  ?frame_limit:int ->
   ?connecting:bool ->
   Unix.file_descr ->
   on_payload:(t -> Gc_net.Payload.t -> unit) ->
@@ -65,12 +64,11 @@ val stats : t -> stats
 
 val listen :
   loop:Evloop.t ->
-  ?backlog:int ->
   Unix.sockaddr ->
   on_accept:(Unix.file_descr -> Unix.sockaddr -> unit) ->
   Unix.file_descr
-(** Bind + listen + watch: every inbound connection is handed to
-    [on_accept] (the socket is already non-blocking). *)
+(** Bind + listen (accept backlog 64) + watch: every inbound connection
+    is handed to [on_accept] (the socket is already non-blocking). *)
 
 val bound_port : Unix.file_descr -> int
 (** The actual port of a bound socket (for [port 0] binds in tests). *)

@@ -36,7 +36,6 @@ type t = {
   me : int;
   metrics : Gc_obs.Metrics.t option;
   trace : Gc_sim.Trace.t;
-  frame_limit : int option;
   handlers : (int, src:int -> Payload.t -> unit) Hashtbl.t;
   peers : (int, peer_link) Hashtbl.t;
   mutable inbound : Fconn.t list;
@@ -63,15 +62,14 @@ let on_peer_payload t _conn payload =
 
 let accept_inbound t client _addr =
   let conn =
-    Fconn.attach ~loop:t.loop ?metrics:t.metrics ?frame_limit:t.frame_limit
-      client
+    Fconn.attach ~loop:t.loop ?metrics:t.metrics client
       ~on_payload:(fun conn p -> on_peer_payload t conn p)
       ~on_close:(fun conn ->
         t.inbound <- List.filter (fun c -> c != conn) t.inbound)
   in
   t.inbound <- conn :: t.inbound
 
-let create ~loop ~me ?metrics ?trace ?frame_limit ?listen () =
+let create ~loop ~me ?metrics ?trace ?listen () =
   let trace =
     match trace with Some tr -> tr | None -> Gc_sim.Trace.create ~enabled:false ()
   in
@@ -81,7 +79,6 @@ let create ~loop ~me ?metrics ?trace ?frame_limit ?listen () =
       me;
       metrics;
       trace;
-      frame_limit;
       handlers = Hashtbl.create 4;
       peers = Hashtbl.create 16;
       inbound = [];
@@ -132,8 +129,7 @@ let dial t link =
             raise Exit
       in
       let conn =
-        Fconn.attach ~loop:t.loop ?metrics:t.metrics
-          ?frame_limit:t.frame_limit ~connecting sock
+        Fconn.attach ~loop:t.loop ?metrics:t.metrics ~connecting sock
           ~on_payload:(fun conn p -> on_peer_payload t conn p)
           ~on_close:(fun _ -> link.conn <- None)
       in

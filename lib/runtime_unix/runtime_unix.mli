@@ -27,7 +27,6 @@ val create :
   me:int ->
   ?metrics:Gc_obs.Metrics.t ->
   ?trace:Gc_sim.Trace.t ->
-  ?frame_limit:int ->
   ?listen:Unix.sockaddr ->
   unit ->
   t

@@ -149,9 +149,13 @@ let recover ~kv ~metrics store =
       Resync.replay_entry ~kv ~metrics entry);
   (!incarnation, !had_state)
 
+(* Group-commit period, ms: bounds the acknowledged-but-unsynced log a
+   power cut can lose. *)
+let sync_interval = 1_000.0
+
 let create (runtime : Gc_kernel.Runtime.t) ~id ~initial ?config ?metrics
     ?(log = ignore) ?join_via ?storage ?(snapshot_interval = 10_000.0)
-    ?(sync_interval = 1_000.0) ?(sync_replies = false) ~reply () =
+    ?(sync_replies = false) ~reply () =
   let metrics =
     match metrics with Some m -> m | None -> Gc_obs.Metrics.create ()
   in
@@ -234,8 +238,6 @@ let create (runtime : Gc_kernel.Runtime.t) ~id ~initial ?config ?metrics
         (Process.every proc ~period:snapshot_interval (fun () ->
              persist ();
              Storage.truncate_before store (snd (Storage.extent store))));
-      (* Group commit: bounds the acknowledged-but-unsynced log a power
-         cut can lose to [sync_interval]. *)
       ignore
         (Process.every proc ~period:sync_interval (fun () ->
              Storage.sync store)))

@@ -27,7 +27,6 @@ val create :
   ?join_via:int ->
   ?storage:Gc_kernel.Storage.t ->
   ?snapshot_interval:float ->
-  ?sync_interval:float ->
   ?sync_replies:bool ->
   reply:('c -> rid:int -> ok:bool -> string -> unit) ->
   unit ->

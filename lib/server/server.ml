@@ -139,7 +139,7 @@ let accept_client t ~log sock _addr =
   t.clients <- conn :: t.clients
 
 let create ~loop ~id ~initial ?config ?metrics ?(log = ignore) ?join_via
-    ?storage ?snapshot_interval ?sync_interval ?sync_replies ~peer_listen
+    ?storage ?snapshot_interval ?sync_replies ~peer_listen
     ~client_listen () =
   let metrics =
     match metrics with Some m -> m | None -> Gc_obs.Metrics.create ()
@@ -154,8 +154,8 @@ let create ~loop ~id ~initial ?config ?metrics ?(log = ignore) ?join_via
   in
   let replica =
     Replica.create (Runtime_unix.runtime endpoint) ~id ~initial ~config
-      ~metrics ~log ?join_via ?storage ?snapshot_interval ?sync_interval
-      ?sync_replies ~reply ()
+      ~metrics ~log ?join_via ?storage ?snapshot_interval ?sync_replies
+      ~reply ()
   in
   let t =
     {

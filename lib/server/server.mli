@@ -20,7 +20,6 @@ val create :
   ?join_via:int ->
   ?storage:Gc_kernel.Storage.t ->
   ?snapshot_interval:float ->
-  ?sync_interval:float ->
   ?sync_replies:bool ->
   peer_listen:Unix.sockaddr ->
   client_listen:Unix.sockaddr ->
@@ -42,8 +41,9 @@ val create :
     opid incarnation is bumped and durably persisted, and a rejoin then
     installs the sponsor's {!Kv.to_blob} image (see {!Resync}), which
     replaces the rebuilt state wholesale.  [snapshot_interval] (ms,
-    default 10s) is the periodic snapshot + log-truncation cadence; [sync_interval] (ms, default 1s) bounds how
-    much acknowledged-but-unsynced log a power cut can lose.
+    default 10s) is the periodic snapshot + log-truncation cadence; the
+    log is synced every second, which bounds how much
+    acknowledged-but-unsynced log a power cut can lose.
     [sync_replies] (default false) syncs the delivery log before each
     client reply instead — acked-means-durable at the cost of one fsync
     per originated op. *)

@@ -1,8 +1,8 @@
-(* The conflict index (DESIGN.md Section 15): generic broadcast counts its
+(* [Conflict.blocked] (DESIGN.md Section 15): generic broadcast counts its
    stage-table entries per conflict class, and [Conflict.blocked] answers
    "does this tracked message conflict with any other tracked message?"
-   from those counters.  It must agree with the pairwise scan it replaces
-   after any add/remove history, under any class matrix. *)
+   from those counters.  It must agree with a brute-force pairwise
+   reference after any add/remove history, under any class matrix. *)
 
 module Conflict = Gc_gbcast.Conflict
 

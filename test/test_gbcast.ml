@@ -262,9 +262,9 @@ let test_ack_tallies_bounded () =
    keeps on its own clock, so only the origin may observe them.  Node
    [i]'s clock here runs [i * 5000] ms ahead, as separately started
    servers' clocks do on the unix backend; a replica subtracting another
-   origin's stamp would record about +-5000 ms.  Both layers run unbatched
-   and with [batch_max = 3], so the stamps are also found through
-   multi-message containers. *)
+   origin's stamp would record about +-5000 ms.  Generic broadcast runs
+   unbatched and with [batch_max = 3], so its stamps are also found
+   through multi-message containers. *)
 let latency_on_origin_clock batch_max =
   let n = 3 in
   let skew i (r : Gc_kernel.Runtime.t) =
@@ -274,7 +274,7 @@ let latency_on_origin_clock batch_max =
   let abs =
     Array.map
       (fun node ->
-        Ab.create node.proc ~rc:node.rc ~rb:node.rb ~fd:node.fd ~batch_max
+        Ab.create node.proc ~rc:node.rc ~rb:node.rb ~fd:node.fd
           ~members:(ids n) ())
       w.nodes
   in

@@ -17,7 +17,7 @@
 module Engine = Gc_sim.Engine
 module Process = Gc_kernel.Process
 module Ab = Gc_abcast.Atomic_broadcast
-module Batcher = Gc_abcast.Batcher
+module Batcher = Gc_gbcast.Batcher
 module Gb = Gc_gbcast.Generic_broadcast
 module Conflict = Gc_gbcast.Conflict
 open Support
@@ -59,8 +59,8 @@ let run_mix ~seed ~conflict ~batch_max ~batch_delay ops =
     Array.mapi
       (fun i node ->
         let ab =
-          Ab.create node.proc ~rc:node.rc ~rb:node.rb ~fd:node.fd ~batch_max
-            ~batch_delay ~members:(ids n) ()
+          Ab.create node.proc ~rc:node.rc ~rb:node.rb ~fd:node.fd
+            ~members:(ids n) ()
         in
         let gb =
           Gb.create node.proc ~rc:node.rc ~rb:node.rb ~ab ~conflict

@@ -334,6 +334,42 @@ let test_fast_path_after_rejoin () =
        (Gc_obs.Metrics.gauge (Stack.metrics stacks.(3))
           "gbcast.conflict_class_occupancy"))
 
+(* The cut wait: with batching on, node 0 (rank 0) holds its stage-change
+   proposal exactly [batch_delay] after it freezes, and the cut's abcast
+   leaves the moment it is proposed; unbatched, it proposes in the instant
+   it freezes.  Returns node 0's freeze, propose_cut and abcast send
+   times for one ordered op on a 3-node stack. *)
+let cut_times config =
+  let engine = Engine.create ~seed:1L () in
+  let trace = Trace.create ~enabled:true () in
+  let net = Netsim.create engine ~trace ~delay:Gc_net.Delay.lan ~n:3 () in
+  let stacks =
+    Array.init 3 (fun id ->
+        Stack.create (Gc_kernel.Runtime.of_netsim net ~trace) ~id
+          ~initial:[ 0; 1; 2 ] ~config ())
+  in
+  Stack.abcast stacks.(0) (Op 1);
+  Engine.run ~until:1_000.0 engine;
+  let once what = function
+    | [ (r : Trace.record) ] -> r.time
+    | l -> Alcotest.failf "node 0: %d %s events" (List.length l) what
+  in
+  let find = Trace.find trace ~node:0 in
+  ( once "freeze" (find ~component:"gbcast" ~event:"freeze" ()),
+    once "propose_cut" (find ~component:"gbcast" ~event:"propose_cut" ()),
+    once "abcast send" (find ~component:"abcast" ~kind:Gc_obs.Event.Send ()) )
+
+let test_cut_wait () =
+  let ms = Alcotest.float 1e-9 in
+  let config = Stack.default_config in
+  let freeze, cut, send = cut_times config in
+  Alcotest.check ms "cut proposed batch_delay after freeze"
+    config.batch_delay (cut -. freeze);
+  Alcotest.check ms "cut abcast when proposed" cut send;
+  let freeze, cut, send = cut_times (Stack.Config.make ~batch_max:1 ()) in
+  Alcotest.check ms "unbatched: cut proposed at freeze" freeze cut;
+  Alcotest.check ms "unbatched: cut abcast when proposed" cut send
+
 let suite =
   [
     ( "gcs-stack",
@@ -359,5 +395,6 @@ let suite =
           test_two_thirds_stack_config;
         Alcotest.test_case "second sponsor after sponsor crash" `Quick
           test_second_sponsor_after_sponsor_crash;
+        Alcotest.test_case "cut waits batch_delay" `Quick test_cut_wait;
       ] );
   ]

@@ -193,10 +193,7 @@ let capture_mode_payloads ack_mode =
     let fd = Fd.create proc ~hb_period:20.0 ~peers:(ids n) () in
     let rc = Rc.create proc ~rto:50.0 ~stuck_after:10_000.0 () in
     let rb = Rb.create proc rc in
-    let ab =
-      Ab.create proc ~rc ~rb ~fd ~batch_max:3 ~batch_delay:2.0 ~members:(ids n)
-        ()
-    in
+    let ab = Ab.create proc ~rc ~rb ~fd ~members:(ids n) () in
     let gb =
       Gb.create proc ~rc ~rb ~ab ~conflict ~ack_mode ~batch_max:3
         ~batch_delay:2.0 ~members:(ids n) ()
@@ -216,7 +213,7 @@ let capture_mode_payloads ack_mode =
   at 200.0 (fun () -> Gb.gbcast (snd nodes.(1)) (Wop { klass = 1; k = 10 }));
   (* A lone commuting op flushes by tick: singleton gb.fast / gb.ack. *)
   at 300.0 (fun () -> Gb.gbcast (snd nodes.(2)) (Wop { klass = 0; k = 20 }));
-  (* Back-to-back direct abcasts fill an ab.submit batch. *)
+  (* Direct abcasts: one ab.data submission each. *)
   at 400.0 (fun () ->
       for k = 30 to 32 do
         Ab.abcast (fst nodes.(0)) (Wop { klass = 1; k })
@@ -317,7 +314,7 @@ let test_hot_path_codec_coverage () =
   List.iter covers
     [
       "gb.fast#"; "gb.fastbatch["; "gb.acks["; "gb.state@"; "gb.cut@";
-      "cs.est["; "cs.prop["; "cs.ack["; "cs.decide["; "ab.submit[";
+      "cs.est["; "cs.prop["; "cs.ack["; "cs.decide["; "ab.data#";
       "mb.join_req("; "mb.state("; "mon.suspect("; "mon.retract(";
       "rc.ack#0<=-1";
     ]
